@@ -341,44 +341,6 @@ func BenchmarkAlg1Distributed(b *testing.B) {
 	b.ReportMetric(float64(stats.Messages), "messages")
 }
 
-// BenchmarkAlg1 measures the Algorithm 1 solver path end to end, pipeline
-// vs the legacy sequential monolith, on the three shapes that stress
-// different stages: a grid (cut enumeration dominates, one big residual
-// component), a random K_{2,t}-minor-free instance (twin reduction + cuts),
-// and a multi-component union of grids (ComponentSolve fans out across
-// cores — the pipeline's headline case).
-func BenchmarkAlg1(b *testing.B) {
-	rng := rand.New(rand.NewSource(20))
-	multi := gen.Grid(7, 7)
-	for i := 0; i < 5; i++ {
-		multi = graph.DisjointUnion(multi, gen.Grid(7, 7))
-	}
-	cases := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"grid", gen.Grid(12, 12)},
-		{"minor-free", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 240, T: 5}, rng)},
-		{"multi-component", multi},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name+"/pipeline", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Alg1(tc.g, core.PracticalParams()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(tc.name+"/legacy", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Alg1Sequential(tc.g, core.PracticalParams()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkExactMDS measures the exact solver the whole evaluation leans
 // on, through the full production dispatch (forest DP → treewidth-2 DP →
 // bitset branch-and-bound engine). The ding instance exercises the DP

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	mdsd [-addr :8377] [-workers W] [-queue Q] [-cache N]
-//	     [-timeout D] [-pipeline-workers W]
+//	     [-timeout D]
 //	     [-auth-tokens FILE] [-rate R] [-rate-burst B] [-tenant-jobs N]
 //	     [-read-timeout D] [-idle-timeout D] [-admin-addr HOST:PORT]
 //	     [-log-requests] [-events-buffer N]
@@ -74,7 +74,6 @@ func run(args []string, stdout io.Writer) error {
 	queue := fs.Int("queue", 64, "max queued jobs beyond the running ones (full queue sheds with 503)")
 	cacheEntries := fs.Int("cache", 256, "content-addressed result cache capacity (entries)")
 	timeout := fs.Duration("timeout", 0, "per-job solve timeout (0: unbounded)")
-	pipelineWorkers := fs.Int("pipeline-workers", 1, "ComponentSolve fan-out per job (1: scale across requests, not within one)")
 	authTokens := fs.String("auth-tokens", "", "bearer-token file, one tenant:token per line (empty: anonymous tier)")
 	rate := fs.Float64("rate", 0, "per-tenant request rate limit in req/s (0: unlimited)")
 	rateBurst := fs.Int("rate-burst", 0, "per-tenant rate-limit burst (0: derived from -rate)")
@@ -93,8 +92,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return err
 	}
-	if *workers < 0 || *queue < 1 || *cacheEntries < 1 || *pipelineWorkers < 0 {
-		return fmt.Errorf("-workers and -pipeline-workers must be >= 0, -queue and -cache >= 1")
+	if *workers < 0 || *queue < 1 || *cacheEntries < 1 {
+		return fmt.Errorf("-workers must be >= 0, -queue and -cache >= 1")
 	}
 	if *timeout < 0 {
 		return fmt.Errorf("-timeout must be >= 0, got %v", *timeout)
@@ -124,7 +123,6 @@ func run(args []string, stdout io.Writer) error {
 		QueueDepth:       *queue,
 		CacheEntries:     *cacheEntries,
 		JobTimeout:       *timeout,
-		PipelineWorkers:  *pipelineWorkers,
 		RatePerSec:       *rate,
 		RateBurst:        *rateBurst,
 		MaxJobsPerTenant: *tenantJobs,

@@ -1,30 +1,27 @@
 package core
 
 import (
-	"fmt"
 	"runtime/metrics"
 	"sync"
+	"sync/atomic"
 
 	"localmds/internal/cuts"
 	"localmds/internal/graph"
 )
 
-// This file is the partition-first driver for huge inputs. Alg1Pipeline
-// starts from an adjacency-list *graph.Graph — fine when the graph arrived
-// through a text parser, but the huge-graph ingestion path produces a
-// frozen (possibly mmap-backed, read-only) graph.CSR directly, and
-// materializing an adjacency intermediate for a 10^8-edge instance would
-// double peak RSS before the solver ran. Alg1Huge runs every stage on the
-// shared CSR: TwinReduceCSR instead of TwinReduction, the same CSR-native
-// cut enumeration and partitioning, and a component fan-out that never
-// holds more than `workers` induced component copies at once — each worker
-// owns one reusable componentSolver whose buffers grow to the largest
-// component it sees and are recycled across all the components it solves.
+// This file is Algorithm 1's one driver. It runs every stage on a frozen
+// graph.CSR — TwinReduceCSR, CSR-native cut enumeration and partitioning,
+// and a component fan-out that never holds more than `workers` induced
+// component copies at once. Alg1 and Alg1Pipeline freeze their adjacency
+// input and call it; the huge-graph ingestion path hands it a frozen,
+// possibly mmap-backed, read-only CSR directly, so a 10^8-edge instance
+// never materializes an adjacency intermediate.
 
-// Submitter is the slice of runner.Pool that Alg1Huge schedules on.
-// (core cannot import runner directly: runner drives experiments, which
-// import core.) Submit must run the function on some goroutine and may
-// block until a worker frees up; Workers reports the concurrency bound.
+// Submitter is the slice of runner.Pool that the ComponentSolve fan-out
+// schedules on. (core cannot import runner directly: runner drives
+// experiments, which import core.) Submit must run the function on some
+// goroutine and may block until a worker frees up; Workers reports the
+// concurrency bound. One solve submits at most Workers() functions.
 type Submitter interface {
 	Submit(fn func())
 	Workers() int
@@ -40,13 +37,14 @@ type HugeOptions struct {
 	Hooks TraceHooks
 }
 
-// Alg1Huge runs Algorithm 1 on a frozen CSR view, partition-first: the
-// shared input CSR feeds TwinReduce, Cuts, and Partition directly, and
+// Alg1Huge runs Algorithm 1 on a frozen CSR view as the staged pipeline
+// TwinReduce → Cuts → Partition → ComponentSolve → Stitch, partition-first:
+// the shared input CSR feeds TwinReduce, Cuts, and Partition directly, and
 // only the residual components — each a vanishing fraction of a huge
 // near-planar instance — are ever copied out, at most one per pool worker
 // at a time. The input CSR is never mutated (it may be an mmap of a
-// csrbin file), and the result equals Alg1Pipeline's on the same graph
-// field for field, at every worker count.
+// csrbin file), and the result is deterministic and identical at every
+// worker count.
 func Alg1Huge(csr *graph.CSR, p Params, opt HugeOptions) (*Alg1Result, error) {
 	p, err := p.normalized()
 	if err != nil {
@@ -81,7 +79,8 @@ func Alg1Huge(csr *graph.CSR, p Params, opt HugeOptions) (*Alg1Result, error) {
 		return len(xLocal) + len(iLocal)
 	})
 
-	// Partition: identical to the pipeline's stage, via the shared helper.
+	// Partition: the undominated set W, the saturated set U, and the
+	// residual components of Ĝ - (X ∪ I ∪ U).
 	var s1Local, uLocal []int
 	var dominated []bool
 	var comps [][]int32
@@ -96,42 +95,11 @@ func Alg1Huge(csr *graph.CSR, p Params, opt HugeOptions) (*Alg1Result, error) {
 	res.I = mapBack(iLocal, active)
 	res.U = mapBack(uLocal, active)
 
-	// ComponentSolve: fan the independent components out over the pool.
-	// A free list of exactly `workers` componentSolvers bounds the live
-	// induced-subgraph copies: a task must take a solver before it can
-	// copy its component, and gives it back (buffers intact, ready for
-	// reuse) when done.
-	outs := make([]compOut, len(comps))
+	// ComponentSolve: brute-force (or greedy, above the cap) each residual
+	// component against its undominated vertices.
+	var outs []compOut
 	res.runStage(hooks, "ComponentSolve", "solved components", sample, func() int {
-		w := 1
-		if opt.Pool != nil {
-			w = opt.Pool.Workers()
-		}
-		if w > len(comps) {
-			w = len(comps)
-		}
-		if opt.Pool == nil || w <= 1 {
-			solver := componentSolver{csr: rcsr, dominated: dominated, p: p, arena: graph.NewArena(), hooks: hooks}
-			for i := range comps {
-				outs[i] = solver.solve(i, comps[i])
-			}
-		} else {
-			solvers := make(chan *componentSolver, w)
-			for k := 0; k < w; k++ {
-				solvers <- &componentSolver{csr: rcsr, dominated: dominated, p: p, arena: graph.NewArena(), hooks: hooks}
-			}
-			var wg sync.WaitGroup
-			for i := range comps {
-				wg.Add(1)
-				opt.Pool.Submit(func() {
-					defer wg.Done()
-					s := <-solvers
-					outs[i] = s.solve(i, comps[i])
-					solvers <- s
-				})
-			}
-			wg.Wait()
-		}
+		outs = solveComponents(opt.Pool, rcsr, dominated, p, hooks, comps)
 		solved := 0
 		for i := range outs {
 			if outs[i].solved {
@@ -140,15 +108,54 @@ func Alg1Huge(csr *graph.CSR, p Params, opt HugeOptions) (*Alg1Result, error) {
 		}
 		return solved
 	})
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, fmt.Errorf("core: brute-force component: %w", outs[i].err)
-		}
-	}
 
-	// Stitch: identical to the pipeline's stage, via the shared helper.
+	// Stitch: assemble the solution and diagnostics in component order.
 	res.runStage(hooks, "Stitch", "solution vertices", sample, func() int {
 		return stitchSolution(res, p, active, s1Local, comps, outs)
 	})
 	return res, nil
+}
+
+// compOut is one component's ComponentSolve result, indexed by component so
+// assembly order (and therefore the output) is independent of scheduling.
+type compOut struct {
+	chosen   []int // picked vertices, in reduced-graph labels
+	diam     int   // component subgraph diameter
+	solved   bool  // false when the component had no undominated vertex
+	fallback bool  // solved greedily because it exceeded MaxBruteComponent
+}
+
+// solveComponents is the ComponentSolve fan-out. It starts exactly
+// w = min(pool.Workers(), len(comps)) drain loops; each owns one
+// componentSolver, whose buffers grow to the largest component it sees,
+// and pulls component indices from a shared counter. A single loop (w <= 1,
+// or no pool) runs in the calling goroutine; otherwise every loop starts
+// through pool.Submit and all are joined before returning.
+func solveComponents(pool Submitter, csr *graph.CSR, dominated []bool, p Params, hooks TraceHooks, comps [][]int32) []compOut {
+	outs := make([]compOut, len(comps))
+	var next atomic.Int64
+	drain := func() {
+		cs := componentSolver{csr: csr, dominated: dominated, p: p, arena: graph.NewArena(), hooks: hooks}
+		for i := int(next.Add(1) - 1); i < len(comps); i = int(next.Add(1) - 1) {
+			outs[i] = cs.solve(i, comps[i])
+		}
+	}
+	w := 1
+	if pool != nil {
+		w = min(pool.Workers(), len(comps))
+	}
+	if w <= 1 {
+		drain()
+		return outs
+	}
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for k := 0; k < w; k++ {
+		pool.Submit(func() {
+			defer wg.Done()
+			drain()
+		})
+	}
+	wg.Wait()
+	return outs
 }

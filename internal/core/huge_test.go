@@ -1,13 +1,15 @@
 package core_test
 
-// Alg1Huge is the partition-first CSR driver for the huge-graph ingestion
-// path; these tests pin it field for field to Alg1Pipeline. They live in an
-// external test package so they can schedule on the real runner.Pool —
-// core itself only sees the Submitter slice of it (importing runner from
-// package core would cycle through experiments).
+// Alg1Huge is Algorithm 1's one CSR driver; these tests pin it, with and
+// without a pool, field for field to the adjacency-list oracle
+// Alg1Sequential (alg1_oracle_test.go). They live in an external test
+// package so they can schedule on the real runner.Pool — core itself only
+// sees the Submitter slice of it (importing runner from package core would
+// cycle through experiments).
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -57,9 +59,11 @@ func equalAlg1Results(t *testing.T, got, want *core.Alg1Result) {
 	}
 }
 
-// TestAlg1HugeMatchesPipelineOnFamilies pins the huge driver to the
-// pipeline on every workload family, including twin-heavy and
-// multi-component instances and the greedy-fallback regime.
+// TestAlg1HugeMatchesPipelineOnFamilies pins every entry point to the
+// oracle on every workload family, including twin-heavy and
+// multi-component instances and the greedy-fallback regime: Alg1Pipeline
+// (goroutine fan-out), Alg1Huge on a runner.Pool, and Alg1Huge without a
+// pool, which is mdsd's per-job call.
 func TestAlg1HugeMatchesPipelineOnFamilies(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	multi := graph.DisjointUnion(
@@ -91,25 +95,32 @@ func TestAlg1HugeMatchesPipelineOnFamilies(t *testing.T) {
 	defer pool.Close()
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			want, err := core.Alg1Pipeline(tt.g, tt.p, core.PipelineOptions{Workers: 4})
+			want, err := core.Alg1Sequential(tt.g, tt.p)
+			if err != nil {
+				t.Fatalf("Alg1Sequential: %v", err)
+			}
+			pipe, err := core.Alg1Pipeline(tt.g, tt.p, core.PipelineOptions{Workers: 4})
 			if err != nil {
 				t.Fatalf("Alg1Pipeline: %v", err)
 			}
-			got, err := core.Alg1Huge(tt.g.Freeze(), tt.p, core.HugeOptions{Pool: pool})
-			if err != nil {
-				t.Fatalf("Alg1Huge: %v", err)
-			}
-			equalAlg1Results(t, got, want)
-			if tt.g.N() > 0 && !mds.IsDominatingSet(tt.g, got.S) {
-				t.Fatal("huge-driver result is not dominating")
+			equalAlg1Results(t, pipe, want)
+			for _, opt := range []core.HugeOptions{{Pool: pool}, {}} {
+				got, err := core.Alg1Huge(tt.g.Freeze(), tt.p, opt)
+				if err != nil {
+					t.Fatalf("Alg1Huge: %v", err)
+				}
+				equalAlg1Results(t, got, want)
+				if tt.g.N() > 0 && !mds.IsDominatingSet(tt.g, got.S) {
+					t.Fatal("huge-driver result is not dominating")
+				}
 			}
 		})
 	}
 }
 
 // Property: on randomized multi-component instances the huge driver and
-// the pipeline agree on all fields, for random radii. CI runs this under
-// -race, which also guards the solver free list against data races.
+// the oracle agree on all fields, for random radii. CI runs this under
+// -race, which also guards the component fan-out against data races.
 func TestAlg1HugeMatchesPipelineProperty(t *testing.T) {
 	pool := runner.NewPool(3, 8)
 	defer pool.Close()
@@ -126,7 +137,7 @@ func TestAlg1HugeMatchesPipelineProperty(t *testing.T) {
 				graph.DisjointUnion(gen.Grid(3, 4), gen.CompleteBipartite(2, 5)))
 		}
 		p := core.Params{R1: int(rawR1%5) + 1, R2: int(rawR2%5) + 2}
-		want, err := core.Alg1Pipeline(g, p, core.PipelineOptions{Workers: 2})
+		want, err := core.Alg1Sequential(g, p)
 		if err != nil {
 			return false
 		}
@@ -149,7 +160,7 @@ func TestAlg1HugeMatchesPipelineProperty(t *testing.T) {
 }
 
 // The huge driver's output must not depend on the worker count, and the
-// nil-pool inline path must match the pooled one.
+// nil-pool inline path must match the pooled one and the oracle.
 func TestAlg1HugeWorkerCountInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := graph.DisjointUnion(
@@ -161,6 +172,11 @@ func TestAlg1HugeWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := core.Alg1Sequential(g, core.PracticalParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalAlg1Results(t, base, want)
 	for _, w := range []int{1, 2, 4, 8} {
 		pool := runner.NewPool(w, 4*w)
 		got, err := core.Alg1Huge(csr, core.PracticalParams(), core.HugeOptions{Pool: pool})
@@ -193,6 +209,63 @@ func TestAlg1HugeInputUntouchedAndStages(t *testing.T) {
 	for i, s := range res.StageStats {
 		if s.Name != wantStages[i] {
 			t.Errorf("stage %d = %q, want %q", i, s.Name, wantStages[i])
+		}
+	}
+}
+
+// countingPool is a Submitter that counts Submit calls and runs each
+// submission on a real runner.Pool.
+type countingPool struct {
+	pool  *runner.Pool
+	calls atomic.Int64
+}
+
+func (c *countingPool) Submit(fn func()) {
+	c.calls.Add(1)
+	c.pool.Submit(fn)
+}
+
+func (c *countingPool) Workers() int { return c.pool.Workers() }
+
+// ComponentSolve starts one drain loop per worker, never one task per
+// component: a solve submits exactly min(Workers(), components) loops when
+// that is at least two and none otherwise (the single loop runs inline),
+// and the output equals the oracle's either way.
+func TestAlg1HugeSubmitsOneDrainLoopPerWorker(t *testing.T) {
+	many := gen.Grid(3, 3)
+	for i := 0; i < 5; i++ {
+		many = graph.DisjointUnion(many, gen.Grid(3, 3))
+	}
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"six-components", many},
+		{"two-components", graph.DisjointUnion(gen.Grid(4, 4), gen.Grid(3, 5))},
+		{"one-component", gen.Grid(6, 6)},
+	}
+	p := core.PracticalParams()
+	for _, tt := range graphs {
+		want, err := core.Alg1Sequential(tt.g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2, 3, 8} {
+			cp := &countingPool{pool: runner.NewPool(w, 0)}
+			got, err := core.Alg1Huge(tt.g.Freeze(), p, core.HugeOptions{Pool: cp})
+			cp.pool.Close()
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tt.name, w, err)
+			}
+			equalAlg1Results(t, got, want)
+			comps := got.StageStats[2].Items // Partition: residual components
+			loops := int64(min(w, comps))
+			if loops < 2 {
+				loops = 0
+			}
+			if n := cp.calls.Load(); n != loops {
+				t.Errorf("%s workers=%d components=%d: %d Submit calls, want %d", tt.name, w, comps, n, loops)
+			}
 		}
 	}
 }

@@ -6,23 +6,18 @@ import (
 	"runtime/metrics"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"localmds/internal/cuts"
 	"localmds/internal/graph"
 	"localmds/internal/mds"
 )
 
-// This file is the staged CSR pipeline behind Alg1. The monolithic
-// reference implementation (Alg1Sequential) re-derived induced subgraphs
-// and neighborhood balls through the allocating *graph.Graph accessors at
-// every step; the pipeline freezes the twin-reduced graph once and runs
-// every subsequent stage — cut enumeration, partitioning, per-component
-// solving — over the flat CSR view with reusable arena scratch, fanning the
-// independent component solves out over a bounded worker pool. Stage
-// boundaries are explicit so each one records wall time, allocations, and
-// a size statistic into Alg1Result.StageStats.
+// This file holds Algorithm 1's stage vocabulary (StageStat, runStage),
+// its adjacency-graph entry points (Alg1, Alg1Pipeline), and the per-stage
+// helpers of its one driver, Alg1Huge (huge.go). The entry points freeze
+// their *graph.Graph input once and hand the CSR to that driver, so twin
+// reduction, cut enumeration, partitioning, component solving, and
+// stitching each exist exactly once, all over the flat CSR view.
 
 // StageStat is one pipeline stage's diagnostics. The JSON form (used by
 // the mdsd service and any result archive) carries Wall as integer
@@ -73,7 +68,7 @@ func (ss StageStats) Render() string {
 	return b.String()
 }
 
-// PipelineOptions tunes the staged solver.
+// PipelineOptions tunes Alg1Pipeline.
 type PipelineOptions struct {
 	// Workers bounds the ComponentSolve fan-out; <= 0 means GOMAXPROCS.
 	// The result is identical for every worker count.
@@ -83,8 +78,7 @@ type PipelineOptions struct {
 	Hooks TraceHooks
 }
 
-// Alg1 runs the centralized reference implementation of Algorithm 1
-// (Theorem 4.1) on g with the given radii:
+// Alg1 runs Algorithm 1 (Theorem 4.1) on g with the given radii:
 //
 //  1. reduce true twins,
 //  2. take every vertex of an R1-local minimal 1-cut,
@@ -94,10 +88,35 @@ type PipelineOptions struct {
 //
 // The result is always a dominating set of g; the 50-approximation
 // guarantee of the paper applies for the PaperParams radii on
-// K_{2,t}-minor-free inputs. Alg1 executes as a staged CSR pipeline with
-// default options; see Alg1Pipeline to bound the component-solve fan-out.
+// K_{2,t}-minor-free inputs. Alg1 is Alg1Pipeline with default options;
+// see Alg1Pipeline to bound the component-solve fan-out.
 func Alg1(g *graph.Graph, p Params) (*Alg1Result, error) {
 	return Alg1Pipeline(g, p, PipelineOptions{})
+}
+
+// Alg1Pipeline freezes g and runs Algorithm 1's staged CSR driver
+// (Alg1Huge) on it, TwinReduce → Cuts → Partition → ComponentSolve →
+// Stitch, with the component solves fanned out over opt.Workers
+// goroutines. The result is deterministic and identical at every worker
+// count.
+func Alg1Pipeline(g *graph.Graph, p Params, opt PipelineOptions) (*Alg1Result, error) {
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return Alg1Huge(g.Freeze(), p, HugeOptions{Pool: goroutines(workers), Hooks: opt.Hooks})
+}
+
+// goroutines is the Submitter behind PipelineOptions.Workers: each Submit
+// starts a plain goroutine, and the ComponentSolve fan-out submits at most
+// Workers() drain loops per solve and joins them before returning.
+type goroutines int
+
+func (n goroutines) Workers() int { return int(n) }
+
+func (goroutines) Submit(fn func()) {
+	//mdsvet:ignore boundedgo -- at most Workers() drain loops per solve, joined by solveComponents before it returns; core cannot import runner.Pool (cycle)
+	go fn()
 }
 
 // allocMetric is the runtime/metrics counter backing StageStat.Allocs;
@@ -131,138 +150,10 @@ func (res *Alg1Result) runStage(hooks TraceHooks, name, unit string, sample []me
 	}
 }
 
-// compOut is one component's ComponentSolve result, indexed by component so
-// assembly order (and therefore the output) is independent of scheduling.
-type compOut struct {
-	chosen   []int // picked vertices, in reduced-graph labels
-	diam     int   // component subgraph diameter
-	solved   bool  // false when the component had no undominated vertex
-	fallback bool  // solved greedily because it exceeded MaxBruteComponent
-	err      error
-}
-
-// Alg1Pipeline runs Algorithm 1 as the staged CSR pipeline
-// TwinReduce → Cuts → Partition → ComponentSolve → Stitch, with the
-// component solves fanned out over opt.Workers goroutines. The result is
-// deterministic: equal to Alg1Sequential's field for field, at every worker
-// count.
-func Alg1Pipeline(g *graph.Graph, p Params, opt PipelineOptions) (*Alg1Result, error) {
-	p, err := p.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if g.N() == 0 {
-		return &Alg1Result{}, nil
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	hooks := opt.Hooks
-
-	res := &Alg1Result{}
-	sample := make([]metrics.Sample, 1)
-	sample[0].Name = allocMetric
-
-	// TwinReduce: collapse true-twin classes to representatives and freeze
-	// the reduced graph; every later stage reads only the CSR view.
-	var csr *graph.CSR
-	var active []int
-	res.runStage(hooks, "TwinReduce", "active vertices", sample, func() int {
-		var reduced *graph.Graph
-		reduced, active = g.TwinReduction()
-		csr = reduced.Freeze()
-		return len(active)
-	})
-	res.Active = append([]int(nil), active...)
-
-	arena := graph.NewArena()
-
-	// Cuts: steps 2 and 3 on the reduced graph.
-	var xLocal, iLocal []int
-	res.runStage(hooks, "Cuts", "cut vertices", sample, func() int {
-		xLocal = cuts.LocalOneCutsCSR(csr, p.R1, arena)
-		iLocal = cuts.LocallyInterestingVerticesCSR(csr, p.R2, arena)
-		return len(xLocal) + len(iLocal)
-	})
-
-	// Partition: the undominated set W, the saturated set U, and the
-	// residual components of Ĝ - (X ∪ I ∪ U).
-	var s1Local, uLocal []int
-	var dominated []bool
-	var comps [][]int32
-	res.runStage(hooks, "Partition", "residual components", sample, func() int {
-		s1Local = graph.SortedUnion(xLocal, iLocal)
-		var rest []int32
-		dominated, uLocal, rest = partitionResidual(csr, s1Local)
-		comps = csr.SubsetComponents(rest, arena)
-		return len(comps)
-	})
-	res.X = mapBack(xLocal, active)
-	res.I = mapBack(iLocal, active)
-	res.U = mapBack(uLocal, active)
-
-	// ComponentSolve: brute-force (or greedy, above the cap) each residual
-	// component against its undominated vertices. Components are
-	// independent, so they fan out over the pool; each worker owns its
-	// arena and scratch CSR, and results land in a component-indexed slice.
-	outs := make([]compOut, len(comps))
-	res.runStage(hooks, "ComponentSolve", "solved components", sample, func() int {
-		w := workers
-		if w > len(comps) {
-			w = len(comps)
-		}
-		if w <= 1 {
-			solver := componentSolver{csr: csr, dominated: dominated, p: p, arena: graph.NewArena(), hooks: hooks}
-			for i := range comps {
-				outs[i] = solver.solve(i, comps[i])
-			}
-		} else {
-			idxCh := make(chan int)
-			var wg sync.WaitGroup
-			for k := 0; k < w; k++ {
-				wg.Add(1)
-				//mdsvet:ignore boundedgo -- bounded fan-out: exactly w <= PipelineOptions.Workers goroutines, joined below; core cannot import runner.Pool (cycle)
-				go func() {
-					defer wg.Done()
-					solver := componentSolver{csr: csr, dominated: dominated, p: p, arena: graph.NewArena(), hooks: hooks}
-					for i := range idxCh {
-						outs[i] = solver.solve(i, comps[i])
-					}
-				}()
-			}
-			for i := range comps {
-				idxCh <- i
-			}
-			close(idxCh)
-			wg.Wait()
-		}
-		solved := 0
-		for i := range outs {
-			if outs[i].solved {
-				solved++
-			}
-		}
-		return solved
-	})
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, fmt.Errorf("core: brute-force component: %w", outs[i].err)
-		}
-	}
-
-	// Stitch: assemble the solution and diagnostics in component order.
-	res.runStage(hooks, "Stitch", "solution vertices", sample, func() int {
-		return stitchSolution(res, p, active, s1Local, comps, outs)
-	})
-	return res, nil
-}
-
 // partitionResidual computes the Partition stage's split of the reduced
 // graph: the domination bitmap induced by S1 = X ∪ I, the saturated set U
 // (dominated vertices whose whole closed neighborhood is dominated), and
-// the residual vertex set of Ĝ - (S1 ∪ U). Shared by Alg1Pipeline and
-// Alg1Huge so the two drivers cannot drift.
+// the residual vertex set of Ĝ - (S1 ∪ U).
 func partitionResidual(csr *graph.CSR, s1Local []int) (dominated []bool, uLocal []int, rest []int32) {
 	n := csr.N()
 	dominated = make([]bool, n)
@@ -291,7 +182,7 @@ func partitionResidual(csr *graph.CSR, s1Local []int) (dominated []bool, uLocal 
 // stitchSolution assembles the final solution and diagnostics in component
 // order, filling res.S, Components, MaxComponentDiameter, BruteFallbacks,
 // and RoundsEstimate. It returns the solution size (the Stitch stage's
-// item count). Shared by Alg1Pipeline and Alg1Huge.
+// item count).
 func stitchSolution(res *Alg1Result, p Params, active, s1Local []int, comps [][]int32, outs []compOut) int {
 	sol := append([]int(nil), s1Local...)
 	for i := range outs {
@@ -361,9 +252,8 @@ func (cs *componentSolver) solveBody(comp []int32) compOut {
 		chosen, err = mds.ExactBDominatingCSROpt(&cs.sub, target, mds.ExactOptions{MaxNodes: BruteNodeBudget})
 		if err != nil {
 			// Budget exhausted (the only reachable error here): greedy
-			// fallback, mirroring the legacy path exactly — node counts
-			// are input-determined, so both sides fall back on the same
-			// components.
+			// fallback. Node counts are input-determined, so the same
+			// components fall back at every worker count.
 			out.fallback = true
 			chosen = mds.GreedyBDominatingCSR(&cs.sub, target)
 		}

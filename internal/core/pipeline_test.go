@@ -12,8 +12,8 @@ import (
 	"localmds/internal/mds"
 )
 
-// equalResults fails the test unless pipeline and sequential results agree
-// on every algorithmic field (StageStats is pipeline-only by design).
+// equalResults fails the test unless two results agree on every
+// algorithmic field (StageStats carries timings and is never compared).
 func equalResults(t *testing.T, got, want *Alg1Result) {
 	t.Helper()
 	if !graph.EqualSets(got.S, want.S) {
@@ -50,9 +50,9 @@ func equalResults(t *testing.T, got, want *Alg1Result) {
 	}
 }
 
-// TestPipelineMatchesSequentialOnFamilies pins the pipeline to the legacy
-// monolith on every workload family, including multi-component instances
-// that exercise the parallel fan-out.
+// TestPipelineMatchesSequentialOnFamilies pins the pipeline to the oracle
+// on every workload family, including multi-component instances that
+// exercise the parallel fan-out.
 func TestPipelineMatchesSequentialOnFamilies(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	multi := graph.DisjointUnion(
@@ -137,18 +137,25 @@ func TestPipelineMatchesSequentialProperty(t *testing.T) {
 	}
 }
 
-// The pipeline output must not depend on the worker count.
+// The pipeline output must not depend on the worker count: every count,
+// including 0 (GOMAXPROCS) and counts above the number of components,
+// matches the oracle. CI runs this under -race.
 func TestPipelineWorkerCountInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := graph.DisjointUnion(
 		ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: 60, T: 5}, rng),
 		ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 60, T: 5}, rng),
 	)
-	base, err := Alg1Pipeline(g, PracticalParams(), PipelineOptions{Workers: 1})
+	base, err := Alg1Pipeline(g, PracticalParams(), PipelineOptions{Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 4, 8} {
+	want, err := Alg1Sequential(g, PracticalParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalResults(t, base, want)
+	for _, w := range []int{1, 2, 3, 4, 8, 64} {
 		got, err := Alg1Pipeline(g, PracticalParams(), PipelineOptions{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)

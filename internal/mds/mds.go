@@ -173,10 +173,6 @@ func GreedyMDS(g *graph.Graph) []int {
 	return greedyBDominatingGeneric(g, allVertices(g), covers)
 }
 
-func greedyBDominating(g *graph.Graph, target []int, covers [][]int) []int {
-	return greedyBDominatingGeneric(g, target, covers)
-}
-
 func greedyBDominatingGeneric(g *graph.Graph, target []int, covers [][]int) []int {
 	need := make([]bool, g.N())
 	remaining := 0

@@ -1,10 +1,9 @@
-// The pre-bitset branch-and-bound solver, kept verbatim as an unexported
-// reference implementation. It is the adjacency-list search that shipped
-// before the word-packed engine in bitset.go replaced it on the production
-// path: per-node `dominated []bool` allocation, O(n·deg) residual rescans,
-// and a per-node sort.Slice. The differential tests (bitset_test.go) and
-// the before/after benchmarks (solver_bench_test.go) run it next to the
-// engine; nothing else should.
+// The pre-bitset branch-and-bound solver, kept verbatim as the oracle for
+// the word-packed engine in bitset.go: per-node `dominated []bool`
+// allocation, O(n·deg) residual rescans, and a per-node sort.Slice. It
+// lives in a test file so it never ships in the production build; the
+// differential tests (bitset_test.go) and the before/after benchmarks
+// (solver_bench_test.go) run it next to the engine.
 package mds
 
 import (
@@ -54,7 +53,7 @@ func newBnbState(g *graph.Graph, target []int) *bnbState {
 		}
 	}
 	// Greedy solution seeds the upper bound.
-	greedy := greedyBDominating(g, target, covers)
+	greedy := greedyBDominatingGeneric(g, target, covers)
 	return &bnbState{g: g, inB: inB, covers: covers, best: greedy, bestLen: len(greedy)}
 }
 

@@ -63,10 +63,6 @@ type Config struct {
 	// JobTimeout bounds each solve (0 = unbounded); a job that exceeds it
 	// fails with HTTP 504 semantics instead of stalling the queue.
 	JobTimeout time.Duration
-	// PipelineWorkers bounds each solve's ComponentSolve fan-out; the
-	// default 1 keeps one request on one core so concurrent requests
-	// scale by request, not within one.
-	PipelineWorkers int
 	// JobRetention caps remembered finished jobs; <= 0 selects 1024.
 	JobRetention int
 	// Tokens maps tenant names to bearer tokens (see LoadTokens). When
@@ -110,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 256
-	}
-	if c.PipelineWorkers <= 0 {
-		c.PipelineWorkers = 1
 	}
 	if c.JobRetention <= 0 {
 		c.JobRetention = 1024
@@ -220,7 +213,7 @@ func New(cfg Config) *Server {
 	}
 	s.initObs()
 	s.solve = func(ps *parsedSolve, hooks core.TraceHooks) (*core.Alg1Result, error) {
-		return core.Alg1Pipeline(ps.g, ps.params, core.PipelineOptions{Workers: s.cfg.PipelineWorkers, Hooks: hooks})
+		return core.Alg1Huge(ps.csr, ps.params, core.HugeOptions{Hooks: hooks})
 	}
 	return s
 }

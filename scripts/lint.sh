@@ -7,8 +7,12 @@
 #   3. staticcheck, pinned (skipped when not installed: the repo builds
 #      offline, so the local gate must not depend on network access)
 #   4. govulncheck, pinned (same skip rule)
+#   5. oracle guard: the reference implementations the equivalence tests
+#      compare against (core.Alg1Sequential, mds.referenceBDominating)
+#      may be declared only in _test.go files, never in the production
+#      build
 #
-# CI installs the pinned versions and runs all four. Exits nonzero on
+# CI installs the pinned versions and runs all five. Exits nonzero on
 # any finding.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -35,6 +39,13 @@ if command -v govulncheck >/dev/null 2>&1; then
   govulncheck ./...
 else
   echo "==> govulncheck not installed; skipped (CI pins ${GOVULNCHECK_VERSION})"
+fi
+
+echo "==> oracle guard"
+oracle_decl='^(func|var|const|type)[[:space:]]+(\([^)]*\)[[:space:]]*)?(Alg1Sequential|referenceBDominating)\b'
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=vendor --exclude-dir=testdata "$oracle_decl" .; then
+  echo "test-only oracle declared in a non-test file; move it to a _test.go file" >&2
+  exit 1
 fi
 
 echo "lint OK"

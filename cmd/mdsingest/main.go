@@ -18,8 +18,12 @@
 //   - gen: write a deterministic near-planar edge list — disjoint 12x12
 //     grid components replicated until the target edge count — without
 //     ever holding the graph in memory.
-//   - parse-seq: the pre-existing sequential path (graphio.Read + Freeze).
-//   - parse: the chunked parallel parser (graphio.ParseCSRFile).
+//   - parse-seq: the one-core Graph path (graphio.ReadFile + Freeze):
+//     the text parser run as one chunk with no pool, then graph.FromCSR
+//     and Freeze. It is the baseline the parallel parse and the csrbin
+//     load are measured against.
+//   - parse: the same parser on W workers, straight to the CSR
+//     (graphio.ParseCSRFile).
 //   - convert: parallel parse, then WriteCSRBinFile.
 //   - load: OpenCSRBin — mmap on supported platforms, so the wall time is
 //     independent of the graph size.

@@ -17,17 +17,23 @@ import (
 //     line position;
 //   - ReadLimited never accepts a graph above its vertex bound;
 //   - every accepted graph validates and round-trips bit-identically
-//     through the matching writer (parse → write → parse → Equal).
+//     through the matching writer (parse → write → parse → Equal);
+//   - for edge lists and DIMACS, ReadLimited agrees with the reference
+//     parser (oracle_test.go): the same error string or Equal graphs,
+//     also under a tiny edge limit that makes overflow common.
 //
 // Seed corpora live in testdata/fuzz/<Target>/ so `go test` replays
 // them on every run and CI's -fuzz smoke mutates from real inputs.
 
 // fuzzVertexLimit keeps adversarial vertex counts from allocating
 // gigabytes per exec while still exercising the limit checks;
-// fuzzEdgeLimit does the same for declared edge counts.
+// fuzzEdgeLimit does the same for declared edge counts. fuzzSmallEdgeLimit
+// is low enough that fuzzed inputs overflow it and race the overflow
+// error against the other errors.
 const (
-	fuzzVertexLimit = 1 << 16
-	fuzzEdgeLimit   = 1 << 17
+	fuzzVertexLimit    = 1 << 16
+	fuzzEdgeLimit      = 1 << 17
+	fuzzSmallEdgeLimit = 3
 )
 
 // checkTextParse enforces the shared text-format contract and returns
@@ -57,6 +63,23 @@ func checkTextParse(t *testing.T, data []byte, f Format) *graph.Graph {
 	return g
 }
 
+// checkAgainstOracle requires ReadLimited and the reference parser to
+// agree on data under the fuzz vertex limit and maxEdges: the same error
+// string, or Equal graphs.
+func checkAgainstOracle(t *testing.T, data []byte, f Format, maxEdges int) {
+	t.Helper()
+	g, err := ReadLimited(bytes.NewReader(data), f, fuzzVertexLimit, maxEdges)
+	want, wantErr := oracleRead(data, f, fuzzVertexLimit, maxEdges)
+	switch {
+	case err != nil || wantErr != nil:
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("%v maxEdges=%d: error %v, reference error %v", f, maxEdges, err, wantErr)
+		}
+	case !g.Equal(want):
+		t.Fatalf("%v maxEdges=%d: graph differs from the reference", f, maxEdges)
+	}
+}
+
 // roundTrip writes g in format f and re-parses it, requiring equality.
 func roundTrip(t *testing.T, g *graph.Graph, f Format) {
 	t.Helper()
@@ -83,11 +106,15 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add([]byte("x y\n"))
 	f.Add([]byte("99999999999999999999 0\n")) // overflows int
 	f.Add([]byte("65537\n"))                  // above the fuzz vertex limit
+	f.Add([]byte("0 1\n1 2\n2 3\n3 4\nx\n"))  // overflow before a bad line
+	f.Add([]byte("0 1\n1 2\nx\n2 3\n3 4\n"))  // bad line before an overflow
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := checkTextParse(t, data, FormatEdgeList)
 		if g != nil {
 			roundTrip(t, g, FormatEdgeList)
 		}
+		checkAgainstOracle(t, data, FormatEdgeList, fuzzEdgeLimit)
+		checkAgainstOracle(t, data, FormatEdgeList, fuzzSmallEdgeLimit)
 	})
 }
 
@@ -99,12 +126,16 @@ func FuzzReadDIMACS(f *testing.F) {
 	f.Add([]byte("p edge 2 1\np edge 2 1\n"))
 	f.Add([]byte("p edge 2 1\ne 1 9\n")) // endpoint out of range
 	f.Add([]byte("q edge 2 1\n"))
-	f.Add([]byte("p edge 65537 0\n")) // above the fuzz vertex limit
+	f.Add([]byte("p edge 65537 0\n"))                         // above the fuzz vertex limit
+	f.Add([]byte("p edge 3 1\ne 1 2\ne 2 3\ne 1 3\ne 1 2\n")) // more e lines than the limit
+	f.Add([]byte("p edge 2 -9223372036854775808\ne 1 2\n"))   // m = MinInt parses, as with strconv.Atoi
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := checkTextParse(t, data, FormatDIMACS)
 		if g != nil {
 			roundTrip(t, g, FormatDIMACS)
 		}
+		checkAgainstOracle(t, data, FormatDIMACS, fuzzEdgeLimit)
+		checkAgainstOracle(t, data, FormatDIMACS, fuzzSmallEdgeLimit)
 	})
 }
 

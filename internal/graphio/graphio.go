@@ -2,21 +2,23 @@
 // CLIs and the mdsd service accept: the repository's JSON encoding
 // ({"n": ..., "edges": [[u,v], ...]}), plain whitespace-separated edge
 // lists, DIMACS, and the binary csrbin encoding (a checksummed on-disk
-// graph.CSR that OpenCSRBin can mmap without parsing). The text parsers
-// are streaming — they scan the input line by line and batch-build the
-// graph through graph.FromEdgesUnchecked — and every malformed input is
-// reported as a *ParseError (text) or *FormatError (csrbin) carrying the
-// position of the offending token, never as a panic. ParseCSR is the
-// parallel text-ingestion path: it chunk-splits the input across a worker
-// pool and builds the frozen CSR directly.
+// graph.CSR that OpenCSRBin can mmap without parsing). Edge lists and
+// DIMACS have one parser (parallel.go): it works on the whole input in
+// memory, so Read, ReadLimited and ReadFile buffer a text input before
+// parsing it (in mdsd the 64 MB request-body cap bounds that buffer). It
+// splits the input into line-aligned chunks, parses them on a worker pool
+// when ParseCSR is given one, and builds the frozen CSR directly. Every
+// malformed input is reported as a *ParseError (text) or *FormatError
+// (csrbin) carrying the position of the offending token, never as a
+// panic.
 package graphio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"localmds/internal/graph"
@@ -106,9 +108,13 @@ func Read(r io.Reader, f Format) (*graph.Graph, error) {
 
 // ReadLimited is Read bounded by maxVertices and maxEdges (0 = unlimited):
 // an input declaring or implying more vertices or edges is rejected before
-// anything proportional to the count is allocated. Services parsing
-// untrusted payloads must use it — a 40-byte DIMACS or csrbin header can
-// otherwise declare a multi-gigabyte vertex or edge count.
+// anything proportional to the count is allocated, and an edge list or
+// DIMACS input fails at the first edge line past maxEdges. Untrusted
+// payloads must be parsed under limits — a 40-byte DIMACS or csrbin header
+// can otherwise declare a multi-gigabyte vertex or edge count. Edge lists
+// and DIMACS are read into memory whole and parsed by ParseCSR's chunk
+// parser with no pool, so the caller bounds the input's size; the graph
+// is graph.FromCSR of the parsed CSR.
 func ReadLimited(r io.Reader, f Format, maxVertices, maxEdges int) (*graph.Graph, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	if f == FormatAuto {
@@ -121,10 +127,16 @@ func ReadLimited(r io.Reader, f Format, maxVertices, maxEdges int) (*graph.Graph
 	switch f {
 	case FormatJSON:
 		return readJSON(br, maxVertices, maxEdges)
-	case FormatEdgeList:
-		return readEdgeList(br, maxVertices, maxEdges)
-	case FormatDIMACS:
-		return readDIMACS(br, maxVertices, maxEdges)
+	case FormatEdgeList, FormatDIMACS:
+		data, err := readAll(br)
+		if err != nil {
+			return nil, &ParseError{Line: bytes.Count(data, []byte{'\n'}) + 1, Msg: "read: " + err.Error()}
+		}
+		c, err := ParseCSR(data, f, CSROptions{MaxVertices: maxVertices, MaxEdges: maxEdges})
+		if err != nil {
+			return nil, err
+		}
+		return graph.FromCSR(c), nil
 	case FormatCSRBin:
 		c, err := readCSRBin(br, maxVertices, maxEdges)
 		if err != nil {
@@ -137,23 +149,14 @@ func ReadLimited(r io.Reader, f Format, maxVertices, maxEdges int) (*graph.Graph
 
 // ReadFile reads a graph from path ("-" reads stdin) in the given
 // format, prefixing errors with the input name — the shared loader
-// behind the CLIs' -in flags.
+// behind the CLIs' -in flags. It is ParseCSRFile with no pool and no
+// limits, then graph.FromCSR.
 func ReadFile(path string, f Format) (*graph.Graph, error) {
-	r := io.Reader(os.Stdin)
-	name := "stdin"
-	if path != "-" {
-		file, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer file.Close()
-		r, name = file, path
-	}
-	g, err := Read(r, f)
+	c, err := ParseCSRFile(path, f, CSROptions{})
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil, err
 	}
-	return g, nil
+	return graph.FromCSR(c), nil
 }
 
 // readJSON decodes the repository encoding {"n": ..., "edges": [...]},

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -13,17 +14,18 @@ import (
 	"localmds/internal/runner"
 )
 
-// This file is the huge-graph text-ingestion path: ParseCSR takes the
-// whole input as one byte slice, splits it into line-aligned chunks, and
-// parses the chunks concurrently on a runner.Pool, feeding the per-chunk
-// edge buffers straight into graph.CSRFromEdgeChunks — no adjacency-list
-// intermediate, no concatenating copy, and a hand-rolled digit parser
-// instead of bufio.Scanner + strconv per token. The result is
-// deterministic by construction at any worker count: the chunking is a
-// pure function of the input length, CSRFromEdgeChunks depends only on the
-// concatenated edge order, and errors are merged by picking the
-// smallest (line, column), so the reported error is the first one the
-// sequential parser would have hit.
+// This file is the one parser for the line-oriented text formats (edge
+// list, DIMACS). It takes the whole input as one byte slice — ReadLimited
+// and ParseCSRFile buffer it first; in mdsd the 64 MB request-body cap
+// bounds that buffer — splits it into line-aligned chunks, and parses the
+// chunks, concurrently when a runner.Pool is supplied, feeding the
+// per-chunk edge buffers straight into graph.CSRFromEdgeChunks: no
+// adjacency-list intermediate, no concatenating copy, and a hand-rolled
+// digit parser instead of strconv per token. The result is deterministic
+// by construction at any worker count: the chunking is a pure function of
+// the input length and pool size, CSRFromEdgeChunks depends only on the
+// concatenated edge order, and the reported error is the first one a
+// line-by-line parse would hit (firstError).
 
 // CSROptions tune ParseCSR.
 type CSROptions struct {
@@ -31,20 +33,19 @@ type CSROptions struct {
 	// goroutine (still through the same chunk parser, so results are
 	// identical).
 	Pool *runner.Pool
-	// MaxVertices and MaxEdges mirror ReadLimited's bounds (0 =
-	// unlimited). Edge-count overflow is reported as a totals error, not
-	// a positioned *ParseError: the total is chunking-independent, so
-	// the message is stable at any worker count.
+	// MaxVertices and MaxEdges are ReadLimited's bounds (0 =
+	// unlimited). Edge-count overflow is a *ParseError at the first edge
+	// line past MaxEdges, at any worker count.
 	MaxVertices int
 	MaxEdges    int
 }
 
 // ParseCSR parses a graph held entirely in memory into its frozen CSR
-// view, in parallel for the line-oriented text formats (edge list,
-// DIMACS). FormatAuto sniffs like Detect; JSON and csrbin inputs take
-// their sequential readers (csrbin is already binary, JSON grammar does
-// not chunk on lines). The CSR is bit-identical to
-// Read(...).Freeze() on the same input.
+// view, in parallel on opt.Pool for the line-oriented text formats (edge
+// list, DIMACS). FormatAuto sniffs like Detect; JSON and csrbin inputs
+// take their sequential readers (csrbin is already binary, JSON grammar
+// does not chunk on lines). ReadLimited runs the same parser, so the CSR
+// is bit-identical to Read(...).Freeze() on the same input.
 func ParseCSR(data []byte, f Format, opt CSROptions) (*graph.CSR, error) {
 	if f == FormatAuto {
 		prefix := data
@@ -95,13 +96,12 @@ func ParseCSRFile(path string, f Format, opt CSROptions) (*graph.CSR, error) {
 	return c, nil
 }
 
-// readAll is io.ReadAll with a growth-friendly initial buffer.
-func readAll(f *os.File) ([]byte, error) {
+// readAll is io.ReadAll with doubling growth. On error it also returns
+// the bytes read so far.
+func readAll(r io.Reader) ([]byte, error) {
 	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(f); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // chunkSpan is one line-aligned byte range and its 1-based starting line.
@@ -155,55 +155,85 @@ func splitChunks(data []byte, pos, startLine, count int) []chunkSpan {
 	return spans
 }
 
-// chunkResult is one chunk parser's output.
+// chunkResult is one chunk parser's output: the edges of the valid edge
+// lines before the first error (all of them when err is nil).
 type chunkResult struct {
 	edges [][2]int
 	maxV  int // largest endpoint seen, -1 if none
-	extra int // edges counted but not stored once MaxEdges was hit
 	err   *ParseError
+	// overflow marks err as the chunk's own edge-limit overflow: one more
+	// valid edge line followed the stored edges.
+	overflow bool
 }
 
-// runChunks parses every span with fn, on the pool when one is available.
-func runChunks(spans []chunkSpan, pool *runner.Pool, fn func(chunkSpan) chunkResult) []chunkResult {
+// chunkParse parses one span, storing at most limit edges; the next
+// valid edge line is an overflow error.
+type chunkParse func(sp chunkSpan, limit int) chunkResult
+
+// parseChunks splits data[pos:] (whose first line is line), parses the
+// chunks on the pool when one is available, and returns their edge
+// buffers in input order with the largest endpoint, or the first error.
+func parseChunks(data []byte, pos, line int, opt CSROptions, parse chunkParse) (chunks [][][2]int, maxV int, err *ParseError) {
+	spans := splitChunks(data, pos, line, chunkCount(opt.Pool))
+	limit := opt.MaxEdges
+	if limit <= 0 {
+		limit = math.MaxInt
+	}
 	results := make([]chunkResult, len(spans))
-	if pool == nil || len(spans) == 1 {
+	if opt.Pool == nil || len(spans) == 1 {
 		for i, sp := range spans {
-			results[i] = fn(sp)
+			results[i] = parse(sp, limit)
 		}
-		return results
+	} else {
+		var wg sync.WaitGroup
+		for i, sp := range spans {
+			wg.Add(1)
+			opt.Pool.Submit(func() {
+				defer wg.Done()
+				results[i] = parse(sp, limit)
+			})
+		}
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	for i, sp := range spans {
-		wg.Add(1)
-		pool.Submit(func() {
-			defer wg.Done()
-			results[i] = fn(sp)
-		})
+	if err = firstError(spans, results, limit, parse); err != nil {
+		return nil, 0, err
 	}
-	wg.Wait()
-	return results
-}
-
-// mergeChunks combines per-chunk results into the final edge chunks,
-// reporting the error the sequential parser would have hit first (smallest
-// line, then column) and the chunking-independent totals.
-func mergeChunks(results []chunkResult) (chunks [][][2]int, maxV, total int, err *ParseError) {
 	maxV = -1
 	chunks = make([][][2]int, 0, len(results))
 	for _, r := range results {
-		if r.err != nil && (err == nil || r.err.Line < err.Line ||
-			(r.err.Line == err.Line && r.err.Col < err.Col)) {
-			err = r.err
-		}
-		if r.maxV > maxV {
-			maxV = r.maxV
-		}
-		total += len(r.edges) + r.extra
+		maxV = max(maxV, r.maxV)
 		if len(r.edges) > 0 {
 			chunks = append(chunks, r.edges)
 		}
 	}
-	return chunks, maxV, total, err
+	return chunks, maxV, nil
+}
+
+// firstError returns the error a line-by-line parse would hit first, or
+// nil. Each chunk stops at its own first error, so chunk order decides
+// between them. The edge limit is global: the chunk where the running
+// edge count passes it is parsed again with the allowance left, which
+// stops it at the exact overflowing line. That line precedes the chunk's
+// own error, whose count covers only the lines before it.
+func firstError(spans []chunkSpan, results []chunkResult, limit int, parse chunkParse) *ParseError {
+	seen := 0
+	for i, r := range results {
+		count := len(r.edges)
+		if r.overflow {
+			count++
+		}
+		if count > limit-seen {
+			if seen == 0 {
+				return r.err // the chunk's own overflow is the global one
+			}
+			return parse(spans[i], limit-seen).err
+		}
+		if r.err != nil {
+			return r.err
+		}
+		seen += count
+	}
+	return nil
 }
 
 func chunkCount(pool *runner.Pool) int {
@@ -213,24 +243,19 @@ func chunkCount(pool *runner.Pool) int {
 	return pool.Workers() * chunkTarget
 }
 
-// parseEdgeListCSR is the parallel edge-list parser. The sequential
-// prologue consumes leading blanks/comments and the optional single-integer
-// header line; everything after is chunked.
+// parseEdgeListCSR parses an edge list. The sequential prologue consumes
+// leading blanks/comments and the optional single-integer header line;
+// everything after is chunked.
 func parseEdgeListCSR(data []byte, opt CSROptions) (*graph.CSR, error) {
 	declaredN, pos, line, err := edgeListProlog(data, opt.MaxVertices)
 	if err != nil {
 		return nil, err
 	}
-	spans := splitChunks(data, pos, line, chunkCount(opt.Pool))
-	results := runChunks(spans, opt.Pool, func(sp chunkSpan) chunkResult {
-		return parseEdgeListChunk(data[sp.lo:sp.hi], sp.line, declaredN, opt.MaxVertices, opt.MaxEdges)
+	chunks, maxV, perr := parseChunks(data, pos, line, opt, func(sp chunkSpan, limit int) chunkResult {
+		return parseEdgeListChunk(data[sp.lo:sp.hi], sp.line, declaredN, opt.MaxVertices, opt.MaxEdges, limit)
 	})
-	chunks, maxV, total, perr := mergeChunks(results)
 	if perr != nil {
 		return nil, perr
-	}
-	if opt.MaxEdges > 0 && total > opt.MaxEdges {
-		return nil, fmt.Errorf("graphio: edgelist: edge count %d exceeds the limit %d", total, opt.MaxEdges)
 	}
 	n := declaredN
 	if n < 0 {
@@ -272,11 +297,15 @@ func edgeListProlog(data []byte, maxVertices int) (declaredN, pos, line int, err
 	return -1, len(data), lineNo + 1, nil
 }
 
-// parseEdgeListChunk parses one line-aligned chunk of edge lines,
-// replicating readEdgeList's per-line semantics and error messages.
-func parseEdgeListChunk(data []byte, startLine, declaredN, maxVertices, maxEdges int) chunkResult {
+// parseEdgeListChunk parses one line-aligned chunk of edge lines: one
+// "u v" pair per line, 0-based endpoints, '#'/'%' comments (whole-line or
+// trailing), blank lines ignored. Endpoints must lie below maxVertices
+// (when positive) and below the header's declaredN (when >= 0). At most
+// limit edges are stored; the next valid edge line fails with the
+// maxEdges overflow message.
+func parseEdgeListChunk(data []byte, startLine, declaredN, maxVertices, maxEdges, limit int) chunkResult {
 	res := chunkResult{maxV: -1}
-	res.edges = make([][2]int, 0, len(data)/8)
+	res.edges = make([][2]int, 0, min(len(data)/8, limit))
 	lineNo := startLine - 1
 	var toks []btok
 	for pos := 0; pos < len(data); {
@@ -284,21 +313,13 @@ func parseEdgeListChunk(data []byte, startLine, declaredN, maxVertices, maxEdges
 		lineBytes, next := nextLine(data, pos)
 		pos = next
 		// One-pass fast path for the dominant "u v" shape; any surprise
-		// (sign, comment, field count, range violation) re-parses the line
-		// generically so error positions and messages stay identical.
-		if u, v, ok := fastEdgeLine(lineBytes); ok &&
+		// (sign, comment, field count, range violation, edge overflow)
+		// re-parses the line generically so error positions and messages
+		// come from one place.
+		if u, v, ok := fastEdgeLine(lineBytes); ok && len(res.edges) < limit &&
 			(maxVertices <= 0 || (u < maxVertices && v < maxVertices)) &&
 			(declaredN < 0 || (u < declaredN && v < declaredN)) {
-			if u > res.maxV {
-				res.maxV = u
-			}
-			if v > res.maxV {
-				res.maxV = v
-			}
-			if maxEdges > 0 && len(res.edges) >= maxEdges {
-				res.extra++
-				continue
-			}
+			res.maxV = max(res.maxV, u, v)
 			res.edges = append(res.edges, [2]int{u, v})
 			continue
 		}
@@ -342,45 +363,42 @@ func parseEdgeListChunk(data []byte, startLine, declaredN, maxVertices, maxEdges
 				return res
 			}
 		}
-		if u > res.maxV {
-			res.maxV = u
+		if len(res.edges) >= limit {
+			res.err, res.overflow = edgeOverflow(lineNo, toks[0].col, maxEdges), true
+			return res
 		}
-		if v > res.maxV {
-			res.maxV = v
-		}
-		if maxEdges > 0 && len(res.edges) >= maxEdges {
-			res.extra++ // keep the chunking-independent total exact
-			continue
-		}
+		res.maxV = max(res.maxV, u, v)
 		res.edges = append(res.edges, [2]int{u, v})
 	}
 	return res
 }
 
-// parseDIMACSCSR is the parallel DIMACS parser. The prologue consumes
-// comments up to and including the problem line; the edge lines after it
-// are chunked.
+// edgeOverflow is the error for the first edge line past maxEdges.
+func edgeOverflow(line, col, maxEdges int) *ParseError {
+	return &ParseError{Line: line, Col: col, Msg: "edge count exceeds the limit " + strconv.Itoa(maxEdges)}
+}
+
+// parseDIMACSCSR parses DIMACS. The prologue consumes comments up to and
+// including the problem line; the edge lines after it are chunked.
 func parseDIMACSCSR(data []byte, opt CSROptions) (*graph.CSR, error) {
 	n, pos, line, err := dimacsProlog(data, opt.MaxVertices, opt.MaxEdges)
 	if err != nil {
 		return nil, err
 	}
-	spans := splitChunks(data, pos, line, chunkCount(opt.Pool))
-	results := runChunks(spans, opt.Pool, func(sp chunkSpan) chunkResult {
-		return parseDIMACSChunk(data[sp.lo:sp.hi], sp.line, n, opt.MaxEdges)
+	chunks, _, perr := parseChunks(data, pos, line, opt, func(sp chunkSpan, limit int) chunkResult {
+		return parseDIMACSChunk(data[sp.lo:sp.hi], sp.line, n, opt.MaxEdges, limit)
 	})
-	chunks, _, total, perr := mergeChunks(results)
 	if perr != nil {
 		return nil, perr
-	}
-	if opt.MaxEdges > 0 && total > opt.MaxEdges {
-		return nil, fmt.Errorf("graphio: dimacs: edge count %d exceeds the limit %d", total, opt.MaxEdges)
 	}
 	return graph.CSRFromEdgeChunks(n, chunks), nil
 }
 
-// dimacsProlog scans up to and including the 'p' problem line, replicating
-// readDIMACS's validation and error messages for that prefix.
+// dimacsProlog scans up to and including the 'p edge <n> <m>' (or
+// 'p col ...') problem line, skipping 'c' comment lines. The declared edge
+// count m is advisory (real-world files routinely mis-state it), but with
+// maxEdges > 0 it is bounded too, so an oversized declaration fails before
+// any edge is parsed.
 func dimacsProlog(data []byte, maxVertices, maxEdges int) (n, pos, line int, err error) {
 	lineNo := 0
 	var toks []btok
@@ -433,10 +451,12 @@ func dimacsProlog(data []byte, maxVertices, maxEdges int) (n, pos, line int, err
 }
 
 // parseDIMACSChunk parses one line-aligned chunk of DIMACS lines after the
-// problem line, replicating readDIMACS's semantics and error messages.
-func parseDIMACSChunk(data []byte, startLine, n, maxEdges int) chunkResult {
+// problem line: 'c' comments and 'e <u> <v>' edge lines with 1-based
+// endpoints in [1, n]. At most limit edges are stored; the next valid edge
+// line fails with the maxEdges overflow message.
+func parseDIMACSChunk(data []byte, startLine, n, maxEdges, limit int) chunkResult {
 	res := chunkResult{maxV: -1}
-	res.edges = make([][2]int, 0, len(data)/10)
+	res.edges = make([][2]int, 0, min(len(data)/10, limit))
 	lineNo := startLine - 1
 	var toks []btok
 	for pos := 0; pos < len(data); {
@@ -444,14 +464,10 @@ func parseDIMACSChunk(data []byte, startLine, n, maxEdges int) chunkResult {
 		lineBytes, next := nextLine(data, pos)
 		pos = next
 		// One-pass fast path for the dominant "e u v" shape; anything else
-		// — including a range violation, whose error message needs token
-		// columns — falls back to the general tokenizer below.
-		if u, v, ok := fastDIMACSEdgeLine(lineBytes); ok &&
+		// — including a range violation or an edge overflow, whose errors
+		// need token columns — falls back to the general tokenizer below.
+		if u, v, ok := fastDIMACSEdgeLine(lineBytes); ok && len(res.edges) < limit &&
 			u >= 1 && v >= 1 && u <= n && v <= n {
-			if maxEdges > 0 && len(res.edges) >= maxEdges {
-				res.extra++
-				continue
-			}
 			res.edges = append(res.edges, [2]int{u - 1, v - 1})
 			continue
 		}
@@ -481,9 +497,9 @@ func parseDIMACSChunk(data []byte, startLine, n, maxEdges int) chunkResult {
 				res.err = err
 				return res
 			}
-			if maxEdges > 0 && len(res.edges) >= maxEdges {
-				res.extra++
-				continue
+			if len(res.edges) >= limit {
+				res.err, res.overflow = edgeOverflow(lineNo, toks[0].col, maxEdges), true
+				return res
 			}
 			res.edges = append(res.edges, [2]int{u - 1, v - 1})
 		default:
@@ -523,27 +539,10 @@ func fastEdgeLine(line []byte) (u, v int, ok bool) {
 // its column-accurate error).
 func fastDIMACSEdgeLine(line []byte) (u, v int, ok bool) {
 	i := skipBlanks(line, 0)
-	if i >= len(line) || line[i] != 'e' {
+	if i+1 >= len(line) || line[i] != 'e' || (line[i+1] != ' ' && line[i+1] != '\t') {
 		return 0, 0, false
 	}
-	i++
-	if i >= len(line) || (line[i] != ' ' && line[i] != '\t') {
-		return 0, 0, false
-	}
-	i = skipBlanks(line, i)
-	u, i, ok = fastUint(line, i)
-	if !ok || i >= len(line) || (line[i] != ' ' && line[i] != '\t') {
-		return 0, 0, false
-	}
-	i = skipBlanks(line, i)
-	v, i, ok = fastUint(line, i)
-	if !ok {
-		return 0, 0, false
-	}
-	for i < len(line) && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r') {
-		i++
-	}
-	return u, v, i == len(line)
+	return fastEdgeLine(line[i+1:])
 }
 
 func skipBlanks(line []byte, i int) int {
@@ -581,15 +580,13 @@ func nextLine(data []byte, pos int) ([]byte, int) {
 	return data[pos:], len(data)
 }
 
-// btok is splitFields' token over bytes: one whitespace-delimited field
-// with its 1-based starting column.
+// btok is one whitespace-delimited field with its 1-based starting column.
 type btok struct {
 	s   []byte
 	col int
 }
 
-// splitFieldsBytes tokenizes a line on ' ', '\t', '\r' — the byte-slice
-// twin of splitFields.
+// splitFieldsBytes tokenizes a line on ' ', '\t', '\r'.
 func splitFieldsBytes(line []byte, toks []btok) []btok {
 	toks = toks[:0]
 	start := -1
@@ -623,9 +620,8 @@ func stripCommentBytes(line []byte) []byte {
 }
 
 // parseIntBytes parses a decimal integer with strconv.Atoi's accepted
-// syntax (optional sign, digits, no other bytes, overflow rejected) but
-// without the per-token string allocation — this is where the parallel
-// parser's single-core speedup over the Scanner+Atoi path comes from.
+// syntax and range (optional sign, digits, no other bytes, [MinInt,
+// MaxInt]) but without the per-token string allocation.
 func parseIntBytes(s []byte) (int, bool) {
 	if len(s) == 0 {
 		return 0, false
@@ -638,25 +634,28 @@ func parseIntBytes(s []byte) (int, bool) {
 			return 0, false
 		}
 	}
-	v := 0
+	limit := uint64(math.MaxInt)
+	if neg {
+		limit++ // -MinInt
+	}
+	var v uint64
 	for _, c := range s {
-		d := int(c - '0')
-		if d < 0 || d > 9 {
+		if c < '0' || c > '9' {
 			return 0, false
 		}
-		if v > (math.MaxInt-d)/10 {
-			return 0, false // overflow: Atoi reports ErrRange, both reject
+		d := uint64(c - '0')
+		if v > (limit-d)/10 {
+			return 0, false // out of range: Atoi reports ErrRange
 		}
 		v = v*10 + d
 	}
 	if neg {
-		return -v, true
+		return -int(v), true
 	}
-	return v, true
+	return int(v), true
 }
 
-// parseVertexBytes parses a non-negative vertex index, with parseVertex's
-// exact error message.
+// parseVertexBytes parses a non-negative vertex index.
 func parseVertexBytes(t btok, line int) (int, *ParseError) {
 	v, ok := parseIntBytes(t.s)
 	if !ok || v < 0 {
@@ -666,8 +665,8 @@ func parseVertexBytes(t btok, line int) (int, *ParseError) {
 	return v, nil
 }
 
-// parseDIMACSVertexBytes parses a 1-based endpoint and range-checks it,
-// with parseDIMACSVertex's exact error messages.
+// parseDIMACSVertexBytes parses a 1-based endpoint and range-checks it
+// against the declared vertex count.
 func parseDIMACSVertexBytes(t btok, line, n int) (int, *ParseError) {
 	v, ok := parseIntBytes(t.s)
 	if !ok || v < 1 {

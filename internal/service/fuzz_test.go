@@ -3,6 +3,8 @@ package service
 import (
 	"encoding/json"
 	"testing"
+
+	"localmds/internal/graph"
 )
 
 // FuzzParseSolve throws raw request JSON — the exact bytes POST /v1/solve
@@ -48,13 +50,13 @@ func FuzzParseSolve(f *testing.F) {
 			}
 			return
 		}
-		if ps.g == nil || ps.csr == nil {
+		if ps.csr == nil {
 			t.Fatalf("accepted solve with nil graph: %+v", ps)
 		}
-		if ps.g.N() > maxRequestVertices {
-			t.Fatalf("accepted %d vertices above the cap", ps.g.N())
+		if ps.csr.N() > maxRequestVertices {
+			t.Fatalf("accepted %d vertices above the cap", ps.csr.N())
 		}
-		if err := ps.g.Validate(); err != nil {
+		if err := graph.FromCSR(ps.csr).Validate(); err != nil {
 			t.Fatalf("accepted graph fails validation: %v", err)
 		}
 		if ps.source == "" {

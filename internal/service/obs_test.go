@@ -159,10 +159,35 @@ func readFrames(t *testing.T, r io.Reader, n int) []sseFrame {
 	return frames
 }
 
+// waitForEvent reads sub until an event of type typ arrives. runJob
+// publishes a job's done event after the job finishes, so a client can
+// see the response before the event is out.
+func waitForEvent(t *testing.T, sub *obs.Subscription, typ string) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case e, ok := <-sub.C:
+			if !ok {
+				t.Fatalf("event stream closed without a %s event", typ)
+			}
+			if e.Type == typ {
+				return
+			}
+		case <-deadline:
+			t.Fatalf("no %s event within 5s", typ)
+		}
+	}
+}
+
 func TestEventsStreamReplayAndLifecycle(t *testing.T) {
 	s, ts := startServer(t, Config{Workers: 1})
+	sub := s.bus.Subscribe(0, 16)
+	defer sub.Cancel()
 	req := SolveRequest{Generator: &GeneratorSpec{Kind: "grid", N: 25, Seed: 1}}
 	postJSON(t, ts.URL+"/v1/solve", &req, nil) // compute
+	// The cache hit must publish after the first job's done event.
+	waitForEvent(t, sub, obs.EventDone)
 	postJSON(t, ts.URL+"/v1/solve", &req, nil) // cache hit
 
 	// Late subscriber: ring replay delivers the full history.
@@ -242,10 +267,14 @@ func TestEventsStreamReplayAndLifecycle(t *testing.T) {
 }
 
 func TestMetricsObservabilityFamilies(t *testing.T) {
-	_, ts := startServer(t, Config{Workers: 1, Version: "test-build"})
+	s, ts := startServer(t, Config{Workers: 1, Version: "test-build"})
+	// Scrape only once the first job's done event is out.
+	sub := s.bus.Subscribe(0, 16)
+	defer sub.Cancel()
 	req := SolveRequest{Generator: &GeneratorSpec{Kind: "grid", N: 25, Seed: 1}}
 	postJSON(t, ts.URL+"/v1/solve", &req, nil)
 	postJSON(t, ts.URL+"/v1/solve", &req, nil)
+	waitForEvent(t, sub, obs.EventDone)
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

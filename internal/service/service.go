@@ -415,8 +415,8 @@ func (s *Server) runJob(j *Job, ps *parsedSolve, tenant string) {
 	}
 	out := &SolveOutcome{
 		Fingerprint: ps.key.fp.String(),
-		N:           ps.g.N(),
-		M:           ps.g.M(),
+		N:           ps.csr.N(),
+		M:           len(ps.csr.Targets) / 2,
 		Params:      ps.params,
 		Valid:       mds.IsDominatingSetCSR(ps.csr, res.S),
 		Result:      res,

@@ -5,14 +5,17 @@
 # The run generates a near-planar instance (disjoint 12x12 grid
 # components) at INGEST_EDGES edges, then measures every stage through
 # cmd/mdsingest: sequential text parse, parallel text parse, text→csrbin
-# conversion, csrbin mmap load, and the partition-first solve. The JSON
-# records one entry per stage (wall time, peak RSS, fingerprint where
+# conversion, csrbin mmap load, and the partition-first solve. Both text
+# stages run the same chunk parser: parse-seq is graphio.ReadFile + Freeze
+# (one chunk, no pool, then graph.FromCSR and Freeze), parse is
+# graphio.ParseCSRFile on INGEST_WORKERS workers straight to the CSR. The
+# JSON records one entry per stage (wall time, peak RSS, fingerprint where
 # computed) plus the two headline ratios:
 #
-#   - load_speedup:  sequential text parse wall / csrbin mmap load wall
-#     (the format's reason to exist — must be >= 50x at full scale)
-#   - parse_speedup: sequential / parallel text parse wall at
-#     INGEST_WORKERS workers, with byte-identical fingerprints
+#   - load_speedup:  parse-seq wall / csrbin mmap load wall (the format's
+#     reason to exist — must be >= 50x at full scale)
+#   - parse_speedup: parse-seq / parse wall at INGEST_WORKERS workers,
+#     with byte-identical fingerprints
 #
 # Usage: scripts/bench_ingest.sh [output.json]
 #   INGEST_EDGES=100000000   target edge count (default 10^8; CI uses a

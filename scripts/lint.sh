@@ -8,9 +8,11 @@
 #      offline, so the local gate must not depend on network access)
 #   4. govulncheck, pinned (same skip rule)
 #   5. oracle guard: the reference implementations the equivalence tests
-#      compare against (core.Alg1Sequential, mds.referenceBDominating)
-#      may be declared only in _test.go files, never in the production
-#      build
+#      compare against (core.Alg1Sequential, mds.referenceBDominating, and
+#      graphio's streaming text parsers readEdgeList/readDIMACS with their
+#      string tokenizer token/splitFields/parseVertex/stripComment/
+#      parseDIMACSVertex) may be declared only in _test.go files, never in
+#      the production build
 #
 # CI installs the pinned versions and runs all five. Exits nonzero on
 # any finding.
@@ -42,7 +44,7 @@ else
 fi
 
 echo "==> oracle guard"
-oracle_decl='^(func|var|const|type)[[:space:]]+(\([^)]*\)[[:space:]]*)?(Alg1Sequential|referenceBDominating)\b'
+oracle_decl='^(func|var|const|type)[[:space:]]+(\([^)]*\)[[:space:]]*)?(Alg1Sequential|referenceBDominating|readEdgeList|readDIMACS|token|splitFields|parseVertex|stripComment|parseDIMACSVertex)\b'
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=vendor --exclude-dir=testdata "$oracle_decl" .; then
   echo "test-only oracle declared in a non-test file; move it to a _test.go file" >&2
   exit 1

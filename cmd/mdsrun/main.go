@@ -26,8 +26,9 @@
 // -alg alg1-huge is the huge-graph ingestion path: csrbin files are
 // mmap'd straight into the solver (near-zero load time), text inputs take
 // the parallel chunked parser, and the partition-first driver
-// (core.Alg1Huge) runs on the shared CSR with -workers component solvers —
-// no adjacency-list intermediate is ever materialized. The report skips
+// (core.Alg1Huge) runs on the shared CSR with its cut scans and component
+// solves spread over -workers pool workers — no adjacency-list
+// intermediate is ever materialized. The report skips
 // the diameter (an O(n·m) scan that would dwarf the solve) and the exact
 // optimum probe; -opt and -dot are rejected.
 //
@@ -77,7 +78,7 @@ func run(args []string, stdout io.Writer) error {
 	p := fs.Float64("p", 0.05, "edge probability (gnp)")
 	r1 := fs.Int("r1", 4, "Algorithm 1 local 1-cut radius")
 	r2 := fs.Int("r2", 4, "Algorithm 1 local 2-cut radius")
-	workers := fs.Int("workers", 0, "parse/solve worker count for -alg alg1-huge (0: GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "worker count for -alg alg1-huge: text parse, Cuts scans, component solves (0: GOMAXPROCS)")
 	optFlag := fs.Bool("opt", false, "require the exact optimum and |S|/OPT ratio (error when the instance exceeds the solver cap)")
 	stages := fs.Bool("stages", false, "print the Algorithm 1 pipeline per-stage timing/size table (requires -alg alg1 or alg1-huge)")
 	traceOut := fs.String("trace", "", "write the solve span tree in Chrome trace-event format to this file (requires -alg alg1 or alg1-huge)")

@@ -9,11 +9,13 @@ package core_test
 
 import (
 	"math/rand"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"localmds/internal/core"
+	"localmds/internal/cuts"
 	"localmds/internal/ding"
 	"localmds/internal/gen"
 	"localmds/internal/graph"
@@ -160,32 +162,84 @@ func TestAlg1HugeMatchesPipelineProperty(t *testing.T) {
 }
 
 // The huge driver's output must not depend on the worker count, and the
-// nil-pool inline path must match the pooled one and the oracle.
+// nil-pool inline path must match every pool. The small instance fits in
+// one Cuts block and is also pinned to the oracle. The others span
+// several blocks, so Cuts really spreads over the drain loops: many hits
+// (ding Mixed, where a pair scanned from one block marks vertices of
+// another) and zero hits (grids). X and I must also equal the sequential
+// whole-range cut scans of the reduced graph. CI runs this under -race,
+// which guards the sharded Cuts stage against data races.
 func TestAlg1HugeWorkerCountInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	g := graph.DisjointUnion(
+	small := graph.DisjointUnion(
 		ding.MustGenerate(ding.Config{Kind: ding.StripChain, N: 60, T: 5}, rng),
 		ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 60, T: 5}, rng),
 	)
-	csr := g.Freeze()
-	base, err := core.Alg1Huge(csr, core.PracticalParams(), core.HugeOptions{})
-	if err != nil {
-		t.Fatal(err)
+	grids := gen.Grid(15, 15)
+	for i := 0; i < 3; i++ {
+		grids = graph.DisjointUnion(grids, gen.Grid(15, 15))
 	}
-	want, err := core.Alg1Sequential(g, core.PracticalParams())
-	if err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		name  string
+		g     *graph.Graph
+		small bool // fits one Cuts block; compared with the oracle
+		hits  bool // Cuts selects some vertex
+	}{
+		{"one-block", small, true, true},
+		{"ding-mixed-2k", ding.MustGenerate(ding.Config{Kind: ding.Mixed, N: 2000, T: 5}, rng), false, true},
+		{"grids", grids, false, false},
 	}
-	equalAlg1Results(t, base, want)
-	for _, w := range []int{1, 2, 4, 8} {
-		pool := runner.NewPool(w, 4*w)
-		got, err := core.Alg1Huge(csr, core.PracticalParams(), core.HugeOptions{Pool: pool})
-		pool.Close()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		equalAlg1Results(t, got, base)
+	p := core.PracticalParams()
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			csr := tt.g.Freeze()
+			base, err := core.Alg1Huge(csr, p, core.HugeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks := (len(base.Active) + core.CutsBlock - 1) / core.CutsBlock
+			if tt.small != (blocks == 1) || (!tt.small && blocks < 3) {
+				t.Fatalf("%d active vertices span %d Cuts blocks", len(base.Active), blocks)
+			}
+			if hits := len(base.X) + len(base.I); (hits > 0) != tt.hits {
+				t.Fatalf("%d cut vertices, want hits=%v", hits, tt.hits)
+			}
+			if tt.small {
+				want, err := core.Alg1Sequential(tt.g, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				equalAlg1Results(t, base, want)
+			}
+			rcsr, active := graph.TwinReduceCSR(csr)
+			a := graph.NewArena()
+			if want := mapActive(cuts.LocalOneCutsCSR(rcsr, p.R1, a), active); !graph.EqualSets(base.X, want) {
+				t.Errorf("X = %v, sequential scan %v", base.X, want)
+			}
+			if want := mapActive(cuts.LocallyInterestingVerticesCSR(rcsr, p.R2, a), active); !graph.EqualSets(base.I, want) {
+				t.Errorf("I = %v, sequential scan %v", base.I, want)
+			}
+			for _, w := range []int{1, 2, 3, 4, 8} {
+				pool := runner.NewPool(w, 4*w)
+				got, err := core.Alg1Huge(csr, p, core.HugeOptions{Pool: pool})
+				pool.Close()
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				equalAlg1Results(t, got, base)
+			}
+		})
 	}
+}
+
+// mapActive maps reduced-graph indices to sorted original labels.
+func mapActive(local, active []int) []int {
+	out := make([]int, len(local))
+	for i, v := range local {
+		out[i] = active[v]
+	}
+	sort.Ints(out)
+	return out
 }
 
 // The huge driver must not mutate its input CSR (it may be a read-only
@@ -227,10 +281,12 @@ func (c *countingPool) Submit(fn func()) {
 
 func (c *countingPool) Workers() int { return c.pool.Workers() }
 
-// ComponentSolve starts one drain loop per worker, never one task per
-// component: a solve submits exactly min(Workers(), components) loops when
-// that is at least two and none otherwise (the single loop runs inline),
-// and the output equals the oracle's either way.
+// Cuts and ComponentSolve each start one drain loop per worker, never one
+// task per block or component: each stage submits exactly min(Workers(),
+// tasks) loops when that is at least two and none otherwise (the single
+// loop runs inline), where Cuts' tasks are blocks of CutsBlock reduced
+// vertices and ComponentSolve's are residual components. The output
+// equals the oracle's either way.
 func TestAlg1HugeSubmitsOneDrainLoopPerWorker(t *testing.T) {
 	many := gen.Grid(3, 3)
 	for i := 0; i < 5; i++ {
@@ -243,6 +299,8 @@ func TestAlg1HugeSubmitsOneDrainLoopPerWorker(t *testing.T) {
 		{"six-components", many},
 		{"two-components", graph.DisjointUnion(gen.Grid(4, 4), gen.Grid(3, 5))},
 		{"one-component", gen.Grid(6, 6)},
+		{"multi-block", graph.DisjointUnion(graph.DisjointUnion(gen.Grid(12, 12), gen.Grid(12, 12)),
+			graph.DisjointUnion(gen.Grid(12, 12), gen.Grid(12, 12)))},
 	}
 	p := core.PracticalParams()
 	for _, tt := range graphs {
@@ -258,14 +316,22 @@ func TestAlg1HugeSubmitsOneDrainLoopPerWorker(t *testing.T) {
 				t.Fatalf("%s workers=%d: %v", tt.name, w, err)
 			}
 			equalAlg1Results(t, got, want)
+			blocks := (len(got.Active) + core.CutsBlock - 1) / core.CutsBlock
 			comps := got.StageStats[2].Items // Partition: residual components
-			loops := int64(min(w, comps))
-			if loops < 2 {
-				loops = 0
-			}
+			loops := submittedLoops(w, blocks) + submittedLoops(w, comps)
 			if n := cp.calls.Load(); n != loops {
-				t.Errorf("%s workers=%d components=%d: %d Submit calls, want %d", tt.name, w, comps, n, loops)
+				t.Errorf("%s workers=%d blocks=%d components=%d: %d Submit calls, want %d",
+					tt.name, w, blocks, comps, n, loops)
 			}
 		}
 	}
+}
+
+// submittedLoops is the number of drain loops one fanned-out stage submits
+// for tasks tasks on w workers: none when a single loop runs inline.
+func submittedLoops(w, tasks int) int64 {
+	if loops := min(w, tasks); loops >= 2 {
+		return int64(loops)
+	}
+	return 0
 }

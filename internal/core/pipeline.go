@@ -70,8 +70,8 @@ func (ss StageStats) Render() string {
 
 // PipelineOptions tunes Alg1Pipeline.
 type PipelineOptions struct {
-	// Workers bounds the ComponentSolve fan-out; <= 0 means GOMAXPROCS.
-	// The result is identical for every worker count.
+	// Workers bounds the Cuts and ComponentSolve fan-outs; <= 0 means
+	// GOMAXPROCS. The result is identical for every worker count.
 	Workers int
 	// Hooks receives stage/component span callbacks; nil (the default)
 	// disables tracing at zero cost. Hooks never change the result.
@@ -89,15 +89,15 @@ type PipelineOptions struct {
 // The result is always a dominating set of g; the 50-approximation
 // guarantee of the paper applies for the PaperParams radii on
 // K_{2,t}-minor-free inputs. Alg1 is Alg1Pipeline with default options;
-// see Alg1Pipeline to bound the component-solve fan-out.
+// see Alg1Pipeline to bound the Cuts and component-solve fan-outs.
 func Alg1(g *graph.Graph, p Params) (*Alg1Result, error) {
 	return Alg1Pipeline(g, p, PipelineOptions{})
 }
 
 // Alg1Pipeline freezes g and runs Algorithm 1's staged CSR driver
 // (Alg1Huge) on it, TwinReduce → Cuts → Partition → ComponentSolve →
-// Stitch, with the component solves fanned out over opt.Workers
-// goroutines. The result is deterministic and identical at every worker
+// Stitch, with the cut scans and the component solves fanned out over
+// opt.Workers goroutines. The result is deterministic and identical at every worker
 // count.
 func Alg1Pipeline(g *graph.Graph, p Params, opt PipelineOptions) (*Alg1Result, error) {
 	workers := opt.Workers
@@ -108,14 +108,15 @@ func Alg1Pipeline(g *graph.Graph, p Params, opt PipelineOptions) (*Alg1Result, e
 }
 
 // goroutines is the Submitter behind PipelineOptions.Workers: each Submit
-// starts a plain goroutine, and the ComponentSolve fan-out submits at most
-// Workers() drain loops per solve and joins them before returning.
+// starts a plain goroutine, and each fanned-out stage (Cuts,
+// ComponentSolve) submits at most Workers() drain loops and joins them
+// before the next stage starts.
 type goroutines int
 
 func (n goroutines) Workers() int { return int(n) }
 
 func (goroutines) Submit(fn func()) {
-	//mdsvet:ignore boundedgo -- at most Workers() drain loops per solve, joined by solveComponents before it returns; core cannot import runner.Pool (cycle)
+	//mdsvet:ignore boundedgo -- at most Workers() drain loops per fanned-out stage (Cuts, ComponentSolve), joined by fanOut before it returns; core cannot import runner.Pool (cycle)
 	go fn()
 }
 

@@ -3,7 +3,16 @@
 // over a frozen graph.CSR with arena scratch instead of rebuilding induced
 // ball subgraphs through the allocating Graph accessors. Each port returns
 // exactly the set its adjacency-list counterpart returns; the pipeline
-// equivalence suite in internal/core checks that on randomized instances.
+// equivalence suite in internal/core and FuzzCutsCSR check that.
+//
+// Both scans come in two forms. MarkLocalOneCutsCSR and
+// MarkLocallyInterestingCSR scan a vertex range [lo, hi) into a
+// caller-owned mark slice, so a caller can shard [0, n) into blocks and
+// run them concurrently (core's Cuts stage does); LocalOneCutsCSR and
+// LocallyInterestingVerticesCSR are the sequential whole-range wrappers.
+// The interesting scan tests each unordered pair {u, v} once, from its
+// smaller endpoint: the 2-cut test is symmetric and one test decides both
+// directions.
 package cuts
 
 import (
@@ -13,14 +22,23 @@ import (
 )
 
 // LocalOneCutsCSR returns all vertices v such that {v} is an r-local
-// minimal 1-cut of c (Definition 2.1 with k = 1), ascending. A ball
-// subgraph is always connected (every member reaches its center inside the
-// ball), so v is a local 1-cut iff removing v disconnects c[N^r[v]].
+// minimal 1-cut of c (Definition 2.1 with k = 1), ascending.
 func LocalOneCutsCSR(c *graph.CSR, r int, a *graph.Arena) []int {
-	var out []int
+	marks := make([]bool, c.N())
+	MarkLocalOneCutsCSR(c, r, 0, c.N(), marks, a)
+	return markedVertices(marks)
+}
+
+// MarkLocalOneCutsCSR sets marks[v] for every v in [lo, hi) such that {v}
+// is an r-local minimal 1-cut of c. It writes no other entry of marks
+// (len(marks) >= hi), so disjoint ranges may share one slice across
+// goroutines. A ball subgraph is always connected (every member reaches
+// its center inside the ball), so v is a local 1-cut iff removing v
+// disconnects c[N^r[v]].
+func MarkLocalOneCutsCSR(c *graph.CSR, r, lo, hi int, marks []bool, a *graph.Arena) {
 	var ball []int32
 	var sub graph.CSR
-	for v := 0; v < c.N(); v++ {
+	for v := lo; v < hi; v++ {
 		ball = c.AppendBall(ball[:0], v, r, a)
 		if len(ball) < 3 {
 			continue // graphs on <= 2 vertices have no cut vertex
@@ -28,26 +46,39 @@ func LocalOneCutsCSR(c *graph.CSR, r int, a *graph.Arena) []int {
 		c.InducedInto(&sub, ball, a)
 		local, _ := slices.BinarySearch(ball, int32(v))
 		if !sub.ConnectedWithout(local, a) {
-			out = append(out, v)
+			marks[v] = true
 		}
 	}
-	return out
 }
 
 // LocallyInterestingVerticesCSR returns the set I of Algorithm 1 step 3 —
 // all vertices that are r-interesting through some r-local minimal 2-cut
 // (§3.2) — ascending, over the CSR view.
 func LocallyInterestingVerticesCSR(c *graph.CSR, r int, a *graph.Arena) []int {
-	n := c.N()
-	interesting := make([]bool, n)
+	marks := make([]bool, c.N())
+	MarkLocallyInterestingCSR(c, r, 0, c.N(), marks, a)
+	return markedVertices(marks)
+}
+
+// MarkLocallyInterestingCSR tests every pair {u, v} with lo <= u < hi,
+// u < v and v ∈ N^r[u], and sets marks[w] (len(marks) = c.N()) for each
+// endpoint w that is r-interesting through the r-local minimal 2-cut
+// {u, v}. Marks only go from false to true, and a set mark is read only
+// to skip work, so the OR of the marks over any split of [0, n) into
+// ranges equals LocallyInterestingVerticesCSR. Since v may lie outside
+// [lo, hi), concurrent ranges need marks of their own.
+func MarkLocallyInterestingCSR(c *graph.CSR, r, lo, hi int, marks []bool, a *graph.Arena) {
 	var ballU, ball2, pair []int32
 	var sub graph.CSR
 	var flags []bool // per-component scratch for the interestingness count
-	for u := 0; u < n; u++ {
+	for u := lo; u < hi; u++ {
 		ballU = c.AppendBall(ballU[:0], u, r, a)
-		for _, v32 := range ballU {
+		// ballU is ascending: the pairs {u, v} with v < u were tested
+		// from v.
+		self, _ := slices.BinarySearch(ballU, int32(u))
+		for _, v32 := range ballU[self+1:] {
 			v := int(v32)
-			if v == u || (interesting[u] && interesting[v]) {
+			if marks[u] && marks[v] {
 				continue
 			}
 			// Build c[N^r[{u, v}]] once for the cut test and both
@@ -64,16 +95,20 @@ func LocallyInterestingVerticesCSR(c *graph.CSR, r int, a *graph.Arena) []int {
 			if num < 2 || !seesTwoComponentsCSR(&sub, lu, labels) || !seesTwoComponentsCSR(&sub, lv, labels) {
 				continue
 			}
-			if !interesting[u] && isInterestingDirectionCSR(c, &sub, u, v, lv, labels, num, &flags) {
-				interesting[u] = true
+			if !marks[u] && isInterestingDirectionCSR(c, &sub, u, v, lv, labels, num, &flags) {
+				marks[u] = true
 			}
-			if !interesting[v] && isInterestingDirectionCSR(c, &sub, v, u, lu, labels, num, &flags) {
-				interesting[v] = true
+			if !marks[v] && isInterestingDirectionCSR(c, &sub, v, u, lu, labels, num, &flags) {
+				marks[v] = true
 			}
 		}
 	}
+}
+
+// markedVertices returns the indices of the set marks, ascending.
+func markedVertices(marks []bool) []int {
 	var out []int
-	for v, ok := range interesting {
+	for v, ok := range marks {
 		if ok {
 			out = append(out, v)
 		}

@@ -12,7 +12,10 @@
 // LocallyInterestingVerticesCSR are the sequential whole-range wrappers.
 // The interesting scan tests each unordered pair {u, v} once, from its
 // smaller endpoint: the 2-cut test is symmetric and one test decides both
-// directions.
+// directions. An exact pre-filter on the ball subgraph of u skips the
+// pairs that cannot separate before they pay for their own ball (see
+// MarkLocallyInterestingCSR); on a grid it settles all but the pairs
+// around the corners.
 package cuts
 
 import (
@@ -67,42 +70,61 @@ func LocallyInterestingVerticesCSR(c *graph.CSR, r int, a *graph.Arena) []int {
 // to skip work, so the OR of the marks over any split of [0, n) into
 // ranges equals LocallyInterestingVerticesCSR. Since v may lie outside
 // [lo, hi), concurrent ranges need marks of their own.
-func MarkLocallyInterestingCSR(c *graph.CSR, r, lo, hi int, marks []bool, a *graph.Arena) {
+//
+// A pair is a 2-cut candidate only if, in H = c[N^r[{u, v}]] - {u, v},
+// the neighbors of u (and likewise of v) meet two components. The scan
+// builds B_u = c[N^r[u]] once per u and skips a pair when u's neighbors
+// other than v are joined in B_u - {u, v}, or v's neighbors other than u
+// are joined there and all lie in N^r[u]. Both skips are exact: B_u is an
+// induced subgraph of c[N^r[{u, v}]], so a path in B_u - {u, v} is a path
+// in H, and B_u holds all of N(u) (r >= 1), and all of N(v) exactly when
+// v's degree in B_u equals its degree in c. Only the surviving pairs pay
+// for the ball-of-set build and the component labeling; their number is
+// returned.
+func MarkLocallyInterestingCSR(c *graph.CSR, r, lo, hi int, marks []bool, a *graph.Arena) (fullTests int) {
 	var ballU, ball2, pair []int32
-	var sub graph.CSR
+	var subU, sub graph.CSR
 	var flags []bool // per-component scratch for the interestingness count
 	for u := lo; u < hi; u++ {
 		ballU = c.AppendBall(ballU[:0], u, r, a)
 		// ballU is ascending: the pairs {u, v} with v < u were tested
 		// from v.
 		self, _ := slices.BinarySearch(ballU, int32(u))
-		for _, v32 := range ballU[self+1:] {
+		c.InducedInto(&subU, ballU, a)
+		for lv := self + 1; lv < len(ballU); lv++ {
+			v32 := ballU[lv]
 			v := int(v32)
 			if marks[u] && marks[v] {
 				continue
 			}
+			if subU.NeighborsConnectedWithout(self, lv, a) ||
+				subU.Degree(lv) == c.Degree(v) && subU.NeighborsConnectedWithout(lv, self, a) {
+				continue
+			}
+			fullTests++
 			// Build c[N^r[{u, v}]] once for the cut test and both
 			// interestingness directions.
 			pair = append(pair[:0], int32(u), v32)
 			ball2 = c.AppendBallOfSet(ball2[:0], pair, r, a)
 			c.InducedInto(&sub, ball2, a)
-			lu, _ := slices.BinarySearch(ball2, int32(u))
-			lv, _ := slices.BinarySearch(ball2, v32)
-			// One component labeling of sub - {lu, lv} serves the cut test
+			hu, _ := slices.BinarySearch(ball2, int32(u))
+			hv, _ := slices.BinarySearch(ball2, v32)
+			// One component labeling of sub - {hu, hv} serves the cut test
 			// and both interestingness directions (the exclusion order is
 			// irrelevant, and nothing below invalidates the arena labels).
-			labels, num := sub.ComponentLabels(lu, lv, a)
-			if num < 2 || !seesTwoComponentsCSR(&sub, lu, labels) || !seesTwoComponentsCSR(&sub, lv, labels) {
+			labels, num := sub.ComponentLabels(hu, hv, a)
+			if num < 2 || !seesTwoComponentsCSR(&sub, hu, labels) || !seesTwoComponentsCSR(&sub, hv, labels) {
 				continue
 			}
-			if !marks[u] && isInterestingDirectionCSR(c, &sub, u, v, lv, labels, num, &flags) {
+			if !marks[u] && isInterestingDirectionCSR(c, &sub, u, v, hv, labels, num, &flags) {
 				marks[u] = true
 			}
-			if !marks[v] && isInterestingDirectionCSR(c, &sub, v, u, lu, labels, num, &flags) {
+			if !marks[v] && isInterestingDirectionCSR(c, &sub, v, u, hu, labels, num, &flags) {
 				marks[v] = true
 			}
 		}
 	}
+	return fullTests
 }
 
 // markedVertices returns the indices of the set marks, ascending.

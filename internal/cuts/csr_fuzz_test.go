@@ -20,6 +20,13 @@ func FuzzCutsCSR(f *testing.F) {
 	f.Add([]byte{5, 2, 0xff, 0xff, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0})                                  // cycle C6, singleton ranges
 	f.Add([]byte{7, 3, 0x24, 0, 0, 1, 1, 2, 2, 3, 3, 0, 4, 5, 5, 6, 6, 7, 7, 4, 0, 4, 1, 5, 2, 6, 3, 7}) // cube Q3
 	f.Add([]byte{8, 3, 0x10, 0x01, 0, 1, 0, 2, 1, 3, 2, 3, 3, 4, 4, 5, 4, 6, 5, 7, 6, 7, 7, 8})          // diamonds in series
+	// Cycle C16 at r = 2 and the 4×4 grid at r = 1 and 2 (the last with
+	// ranges [0, 3), [3, 6), [6, 10), [10, 13), [13, 16)) put v at distance
+	// exactly r from u with a neighbor outside N^r[u], so the pre-filter's
+	// v-side check must see that B_u lacks part of N(v).
+	f.Add([]byte{15, 1, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13, 14, 14, 15, 15, 0})
+	f.Add([]byte{15, 0, 0x80, 0, 0, 1, 0, 4, 1, 2, 1, 5, 2, 3, 2, 6, 3, 7, 4, 5, 4, 8, 5, 6, 5, 9, 6, 7, 6, 10, 7, 11, 8, 9, 8, 12, 9, 10, 9, 13, 10, 11, 10, 14, 11, 15, 12, 13, 13, 14, 14, 15})
+	f.Add([]byte{15, 1, 0x24, 0x12, 0, 1, 0, 4, 1, 2, 1, 5, 2, 3, 2, 6, 3, 7, 4, 5, 4, 8, 5, 6, 5, 9, 6, 7, 6, 10, 7, 11, 8, 9, 8, 12, 9, 10, 9, 13, 10, 11, 10, 14, 11, 15, 12, 13, 13, 14, 14, 15})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return

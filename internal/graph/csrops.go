@@ -290,6 +290,54 @@ func (c *CSR) ConnectedWithout(x int, a *Arena) bool {
 	return reached == n-1
 }
 
+// NeighborsConnectedWithout reports whether the neighbors of w other than
+// x all lie in one connected component of c - {w, x}. Fewer than two such
+// neighbors count as connected. The BFS starts at one of them and stops as
+// soon as it has reached them all.
+func (c *CSR) NeighborsConnectedWithout(w, x int, a *Arena) bool {
+	n := c.N()
+	a.growPos(n)
+	gen := a.nextPos() // posMark flags the targets; pos is unused
+	start, want := int32(-1), 0
+	for _, y := range c.Row(w) {
+		if int(y) != x {
+			a.posMark[y] = gen
+			if start < 0 {
+				start = y
+			}
+			want++
+		}
+	}
+	if want < 2 {
+		return true
+	}
+	a.growMark(n)
+	stamp := a.nextMark()
+	a.mark[w], a.mark[x], a.mark[start] = stamp, stamp, stamp
+	q := append(a.queue[:0], start)
+	reached := 1
+	offs, tgts := c.Offsets, c.Targets
+	for head := 0; head < len(q); head++ {
+		v := q[head]
+		for k := offs[v]; k < offs[v+1]; k++ {
+			u := tgts[k]
+			if a.mark[u] == stamp {
+				continue
+			}
+			a.mark[u] = stamp
+			if a.posMark[u] == gen {
+				if reached++; reached == want {
+					a.queue = q[:0:cap(q)]
+					return true
+				}
+			}
+			q = append(q, u)
+		}
+	}
+	a.queue = q[:0:cap(q)]
+	return false
+}
+
 // ComponentLabels labels the connected components of c - {u, v}: the
 // returned slice has -1 at u and v and component IDs 0..k-1 elsewhere,
 // assigned in order of smallest contained vertex; k is returned alongside.

@@ -149,6 +149,37 @@ func TestCSRConnectedWithoutMatchesDelete(t *testing.T) {
 	}
 }
 
+func TestCSRNeighborsConnectedWithoutMatchesLabels(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	a := NewArena()
+	for trial := 0; trial < 25; trial++ {
+		g := opsRandomGraph(14, 0.18, rng)
+		c := g.Freeze()
+		for w := 0; w < c.N(); w++ {
+			for x := 0; x < c.N(); x++ {
+				if x == w {
+					continue
+				}
+				labels, _ := c.ComponentLabels(w, x, a)
+				want, first := true, int32(-1)
+				for _, y := range c.Row(w) {
+					if int(y) == x {
+						continue
+					}
+					if first < 0 {
+						first = labels[y]
+					} else if labels[y] != first {
+						want = false
+					}
+				}
+				if got := c.NeighborsConnectedWithout(w, x, a); got != want {
+					t.Fatalf("trial %d: NeighborsConnectedWithout(%d, %d) = %v, want %v", trial, w, x, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestCSRComponentLabels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"os"
@@ -128,13 +129,17 @@ type latencyMS struct {
 	P99 float64 `json:"p99"`
 }
 
-// scenarioResult is one BENCH_service.json entry. The durability fields
-// are only set by the restart/crash scenarios.
+// scenarioResult is one BENCH_service.json entry. Requests, throughput
+// and latency cover answered requests only; a transport error (status 0,
+// e.g. a refused connection while the daemon is down) counts in Failed
+// and StatusCounts["0"]. The durability fields are only set by the
+// restart/crash scenarios.
 type scenarioResult struct {
 	Name          string         `json:"name"`
 	Clients       int            `json:"clients"`
 	DurationS     float64        `json:"duration_s"`
 	Requests      int            `json:"requests"`
+	Failed        int            `json:"failed"`
 	ThroughputRPS float64        `json:"throughput_rps"`
 	Latency       latencyMS      `json:"latency_ms"`
 	StatusCounts  map[string]int `json:"status_counts"`
@@ -150,12 +155,18 @@ type scenarioResult struct {
 	DaemonSurvived bool `json:"daemon_survived,omitempty"`
 }
 
+// summarize reduces one scenario's observations to its report entry.
+// Only answered requests enter throughput and the latency percentiles: a
+// refused connection returns in microseconds and would otherwise read as
+// the daemon's fastest work.
 func summarize(name string, clients int, duration time.Duration, all []obs) scenarioResult {
 	counts := map[string]int{}
 	durs := make([]time.Duration, 0, len(all))
 	for _, o := range all {
 		counts[fmt.Sprint(o.status)]++
-		durs = append(durs, o.dur)
+		if o.status != 0 {
+			durs = append(durs, o.dur)
+		}
 	}
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	pct := func(p float64) float64 {
@@ -169,10 +180,35 @@ func summarize(name string, clients int, duration time.Duration, all []obs) scen
 		Name:          name,
 		Clients:       clients,
 		DurationS:     duration.Seconds(),
-		Requests:      len(all),
-		ThroughputRPS: float64(len(all)) / duration.Seconds(),
+		Requests:      len(durs),
+		Failed:        len(all) - len(durs),
+		ThroughputRPS: float64(len(durs)) / duration.Seconds(),
 		Latency:       latencyMS{P50: pct(0.50), P95: pct(0.95), P99: pct(0.99)},
 		StatusCounts:  counts,
+	}
+}
+
+// TestSummarizeExcludesTransportErrors pins the report arithmetic: status-0
+// observations count as failed and stay out of throughput and latency.
+func TestSummarizeExcludesTransportErrors(t *testing.T) {
+	ms := time.Millisecond
+	all := []obs{
+		{200, 3 * ms}, {0, ms / 100}, {200, 1 * ms}, {503, 4 * ms}, {0, ms / 100}, {200, 2 * ms},
+	}
+	res := summarize("mixed", 2, 2*time.Second, all)
+	if res.Requests != 4 || res.Failed != 2 || res.ThroughputRPS != 2 {
+		t.Fatalf("requests/failed/rps = %d/%d/%v, want 4/2/2", res.Requests, res.Failed, res.ThroughputRPS)
+	}
+	if want := (latencyMS{P50: 2, P95: 3, P99: 3}); res.Latency != want {
+		t.Fatalf("latency = %+v, want %+v", res.Latency, want)
+	}
+	if want := map[string]int{"0": 2, "200": 3, "503": 1}; !maps.Equal(res.StatusCounts, want) {
+		t.Fatalf("status counts = %v, want %v", res.StatusCounts, want)
+	}
+
+	down := summarize("down", 1, time.Second, []obs{{0, ms}, {0, ms}})
+	if down.Requests != 0 || down.Failed != 2 || down.ThroughputRPS != 0 || down.Latency != (latencyMS{}) {
+		t.Fatalf("all-failed scenario = %+v, want no answered requests", down)
 	}
 }
 
